@@ -96,16 +96,21 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
     return theta_lo, mu_lo
 
 
-def _dyadic_root_ceil(value: float, q: float, grid_exp: int) -> float:
-    """Smallest r = k / 2**grid_exp (k integer >= 0) with r**q >= value."""
-    if value <= 0.0:
+def _dyadic_root_ceil(coef: float, lam: float, q: float, grid_exp: int) -> float:
+    """Smallest r = k / 2**grid_exp (k integer >= 0) with r**q / lam >= coef.
+
+    The test is made on r**q / lam as computed, the very expression that
+    becomes the coefficient, so float rounding can never leave the
+    coefficient below coef.
+    """
+    if coef <= 0.0:
         return 0.0
     scale = 2.0**grid_exp
-    k = math.ceil(value ** (1.0 / q) * scale)
+    k = math.ceil((lam * coef) ** (1.0 / q) * scale)
     # float rounding in the q-th root can leave k off by one either way
-    while (k / scale) ** q < value:
+    while (k / scale) ** q / lam < coef:
         k += 1
-    while k > 1 and ((k - 1) / scale) ** q >= value:
+    while k > 1 and ((k - 1) / scale) ** q / lam >= coef:
         k -= 1
     return k / scale
 
@@ -134,17 +139,17 @@ def rationalize(
     if tau_hat is None:
         raise ValueError("rationalize requires the tau_hat anchor")
     if q == 1.0:
-        mu_root = _dyadic_root_ceil(lam * mu_lower, 1.0, grid_exp)
+        mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0, grid_exp)
         return GParams(
             q=q, theta=0.0, mu=mu_root / lam, tau_hat=tau_hat, theta_root=0.0, mu_root=mu_root
         )
-    theta_root = _dyadic_root_ceil(lam * theta_lower, q, grid_exp)
+    theta_root = _dyadic_root_ceil(theta_lower, lam, q, grid_exp)
     theta = theta_root**q / lam
     mu_target = mu_lower * theta
-    mu_root = _dyadic_root_ceil(lam * mu_target, q, grid_exp)
+    mu_root = _dyadic_root_ceil(mu_target, lam, q, grid_exp)
     if q == 2.0:
         snap = float(math.ceil(math.sqrt(lam * mu_target)))
-        if snap * snap / lam <= 1.05 * mu_target:
+        if mu_target <= snap * snap / lam <= 1.05 * mu_target:
             mu_root = snap
     return GParams(
         q=q,
@@ -154,6 +159,28 @@ def rationalize(
         theta_root=theta_root,
         mu_root=mu_root,
     )
+
+
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section search for a minimizer of f on [lo, hi].
+
+    Shrinks the bracket until it is at most tol wide and returns its
+    midpoint; ties (f(c) == f(d)) keep the right-hand part.  Shared by
+    :func:`minimize_g` and the descent line search in :mod:`penlq.solver`.
+    """
+    c = hi - _PHI_INV * (hi - lo)
+    d = lo + _PHI_INV * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _PHI_INV * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _PHI_INV * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
 def g_eval(spec: PenaltySpec, params: GParams, t):
@@ -199,21 +226,9 @@ def minimize_g(
     _require_bounds(spec, analysis, params)
     if params.q == 1.0:
         return params.tau_hat, p_eval(spec, params.tau_hat)
-    a, b = analysis.tau0, analysis.tau
-    c = b - _PHI_INV * (b - a)
-    d = a + _PHI_INV * (b - a)
-    fc = g_eval(spec, params, c)
-    fd = g_eval(spec, params, d)
-    while b - a > bracket_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _PHI_INV * (b - a)
-            fc = g_eval(spec, params, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _PHI_INV * (b - a)
-            fd = g_eval(spec, params, d)
-    t_star = 0.5 * (a + b)
+    t_star = _golden_min(
+        lambda t: g_eval(spec, params, t), analysis.tau0, analysis.tau, bracket_tol
+    )
     return t_star, g_eval(spec, params, t_star)
 
 

@@ -263,6 +263,74 @@ def _eval_linear(spec, t):
     return spec["k"] * t
 
 
+# Plain-float forms of the same formulas, for hot scalar loops (the descent
+# line search).  Each factory binds the parameters once and returns a
+# function of one float t >= 0; the arithmetic mirrors the array form above
+# operation for operation.
+
+
+def _float_l0(spec):
+    return lambda t: 1.0 if t > 0 else 0.0
+
+
+def _float_bridge(spec):
+    p = spec["p"]
+    return lambda t: t**p
+
+
+def _float_hard_threshold(spec):
+    g = spec["gamma"]
+    return lambda t: g * g - max(g - t, 0.0) ** 2
+
+
+def _float_scad(spec):
+    g, a = spec["gamma"], spec["a"]
+    knee, cap, den = a * g, 0.5 * g * g * (a + 1.0), 2.0 * (a - 1.0)
+
+    def p(t):
+        if t <= g:
+            return g * t
+        if t <= knee:
+            return (2.0 * a * g * t - t * t - g * g) / den
+        return cap
+
+    return p
+
+
+def _float_mcp(spec):
+    g, b = spec["gamma"], spec["b"]
+    knee, cap = b * g, 0.5 * b * g * g
+    return lambda t: g * t - t * t / (2.0 * b) if t <= knee else cap
+
+
+def _float_piecewise_linear(spec):
+    k1, k2, a = spec["k1"], spec["k2"], spec["a"]
+    return lambda t: k1 * t if t <= a else k2 * t + (k1 - k2) * a
+
+
+def _float_fraction(spec):
+    g = spec["gamma"]
+    return lambda t: (g + 1.0) * t / (g + t)
+
+
+def _float_log(spec):
+    g = spec["gamma"]
+    norm = math.log1p(g)
+    return lambda t: math.log1p(g * t) / norm
+
+
+def _float_linear(spec):
+    k = spec["k"]
+    return lambda t: k * t
+
+
+def _float_eval(spec: PenaltySpec):
+    """Plain-float p for ``spec``: a function of one float t >= 0 that agrees
+    with :func:`p_eval` to rounding, without numpy's per-call overhead.
+    Unchecked: the caller passes |t|."""
+    return _FLOAT[spec.family](spec)
+
+
 def _d1_l0(spec, t):
     return np.zeros_like(t)
 
@@ -358,6 +426,18 @@ _EVAL = {
     "fraction": _eval_fraction,
     "log": _eval_log,
     "linear": _eval_linear,
+}
+
+_FLOAT = {
+    "l0": _float_l0,
+    "bridge": _float_bridge,
+    "hard_threshold": _float_hard_threshold,
+    "scad": _float_scad,
+    "mcp": _float_mcp,
+    "piecewise_linear": _float_piecewise_linear,
+    "fraction": _float_fraction,
+    "log": _float_log,
+    "linear": _float_linear,
 }
 
 _D1 = {

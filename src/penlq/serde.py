@@ -150,6 +150,19 @@ def save_solution(path, result: SolveResult) -> None:
 
 
 def load_solution_matrix(path, red: ReductionInstance) -> np.ndarray:
+    """Read the flat "x" of a solution file as an (n, m) matrix.
+
+    Raises ValueError unless "x" is a list of exactly n*m finite numbers.
+    """
     data = read_json(path)
-    x = np.asarray(data["x"], dtype=float)
+    if not isinstance(data, dict) or "x" not in data:
+        raise ValueError("solution file must be an object with an 'x' key")
+    try:
+        x = np.asarray(data["x"], dtype=float)
+    except TypeError:
+        raise ValueError("solution 'x' must be a list of numbers") from None
+    if x.ndim != 1 or x.size != red.n * red.m:
+        raise ValueError(f"solution 'x' must be a flat list of {red.n * red.m} numbers")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("solution 'x' must contain only finite numbers")
     return x.reshape(red.n, red.m)

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
+from .gfun import _golden_min
+from .penalties import _float_eval
 from .reduction import ProblemInstance, ReductionInstance, objective, optimal_bound
 
 _MAX_ASSIGNMENTS = 10**7
 _CHUNK = 1 << 14
-_PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,25 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    c = hi - _PHI_INV * (hi - lo)
-    d = lo + _PHI_INV * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _PHI_INV * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _PHI_INV * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+def _restriction(r, rows, vals, xk: float, q: float, lam: float, pen):
+    """phi_k(v) = sum_{i in rows} |r_i + (v - x_k)*a_ik|^q + lam*p(|v|).
+
+    The one-dimensional restriction of F to coordinate k, minus the terms
+    that do not depend on x_k: ``rows``/``vals`` are the nonzero rows and
+    values of column k, ``r`` the residuals A x - target at the current x,
+    and ``pen`` the plain-float penalty.  So phi_k(v) - phi_k(x_k) equals
+    F(x + (v - x_k) e_k) - F(x) up to rounding.
+    """
+    terms = [(r[i], a) for i, a in zip(rows, vals)]
+
+    def phi(v: float) -> float:
+        shift = v - xk
+        total = lam * pen(abs(v))
+        for ri, a in terms:
+            total += abs(ri + shift * a) ** q
+        return total
+
+    return phi
 
 
 def local_descent(
@@ -130,35 +136,57 @@ def local_descent(
 ) -> np.ndarray:
     """Coordinate-wise descent with golden-section line searches.
 
-    Each sweep minimizes the one-dimensional restriction of the objective
-    over the trust interval [x_k - step, x_k + step], accepting a move only
-    if it does not increase the objective, so the objective is
-    non-increasing across iterations.  Stops once a full sweep improves by
-    less than tol.
+    Each sweep minimizes, coordinate by coordinate, the one-dimensional
+    restriction of the objective over the trust interval
+    [x_k - step, x_k + step] (golden section down to width 1e-10).  The
+    residuals r = A x - target are cached as floats and recomputed from
+    scratch at the start of every sweep, so a trial point costs only the
+    nonzero rows of column k plus one penalty term (:func:`_restriction`);
+    a move is taken only if it lowers that restriction, and then updates
+    just those residuals.  Once per sweep the full objective is evaluated:
+    a sweep that raised it (by rounding) is undone, so the objective is
+    non-increasing, and descent stops once a sweep improves by less than
+    tol.  Raises ValueError for a non-finite x0, a step that is not a
+    positive finite number, or max_iters < 0.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != problem.cols:
         raise ValueError(f"x0 must have {problem.cols} entries, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+
+    a = problem.a_matrix
+    columns = []
+    for k in range(problem.cols):
+        rows = np.flatnonzero(a[:, k])
+        columns.append((rows.tolist(), a[rows, k].tolist()))
+    q, lam = problem.q, problem.lam
+    pen = _float_eval(problem.penalty)
+
+    xs = x.tolist()
     current = problem.objective(x)
     for _ in range(max_iters):
-        sweep_start = current
-        for k in range(x.size):
-            xk = x[k]
-
-            def restricted(v: float) -> float:
-                x[k] = v
-                val = problem.objective(x)
-                x[k] = xk
-                return val
-
-            candidate = _golden_min(restricted, xk - step, xk + step)
-            cand_val = restricted(candidate)
-            if cand_val < current:
-                x[k] = candidate
-                current = cand_val
+        sweep_start, start_xs = current, list(xs)
+        r = (a @ np.array(xs) - problem.target).tolist()
+        for k, (rows, vals) in enumerate(columns):
+            xk = xs[k]
+            phi = _restriction(r, rows, vals, xk, q, lam, pen)
+            candidate = _golden_min(phi, xk - step, xk + step, 1e-10)
+            if phi(candidate) < phi(xk):
+                shift = candidate - xk
+                for i, v in zip(rows, vals):
+                    r[i] += shift * v
+                xs[k] = candidate
+        current = problem.objective(xs)
+        if current > sweep_start:
+            xs, current = start_xs, sweep_start
         if sweep_start - current < tol:
             break
-    return x
+    return np.array(xs)
 
 
 def solve(

@@ -211,3 +211,40 @@ def test_instance_meta_contract(tmp_path, demo_instance):
     ]
     for key in ("rows", "cols", "A", "target", "lambda", "q", "tp", "penalty", "layout"):
         assert key in data
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [float("nan")] + [0.0] * 11,
+        [0.0] * 11 + [float("inf")],
+        [0.0] * 11,
+        [0.0] * 13,
+        [[0.0] * 6, [0.0] * 6],
+        [None] * 12,
+        ["a"] * 12,
+    ],
+)
+def test_load_solution_matrix_rejects_bad_x(tmp_path, demo_instance, x):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({"x": x}))  # json writes NaN/Infinity literals
+    with pytest.raises(ValueError):
+        serde.load_solution_matrix(path, demo_instance)
+
+
+def test_load_solution_matrix_rejects_missing_x(tmp_path, demo_instance):
+    path = tmp_path / "sol.json"
+    path.write_text('[0, 0]')
+    with pytest.raises(ValueError, match="'x'"):
+        serde.load_solution_matrix(path, demo_instance)
+
+
+@pytest.mark.parametrize("x", ["[NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0]"])
+def test_decode_bad_solution_is_usage_error(capsys, tmp_path, mcp_file, tp_file, x):
+    inst = str(tmp_path / "inst.json")
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", inst)
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"x": ' + x + "}")
+    code, out, err = run(capsys, "decode", "--in", inst, "--sol", str(sol))
+    assert code == 1 and out == "" and "penlq: error" in err

@@ -74,6 +74,19 @@ def test_rationalize_never_below_thresholds(theta_lo, mu_lo, q, lam):
     assert params.mu == pytest.approx(params.mu_root**q / lam, rel=1e-15)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_rationalize_rounding_never_undercuts(q):
+    # r**q / lam can round below a threshold that r**q >= lam*threshold
+    # clears, e.g. 137.5 / 1.1 < 125 for q = 1
+    for mu_lo in range(100, 201):
+        for lam in (0.3, 0.7, 1.1, 1.3, 2.9, 7.7):
+            params = rationalize(1.0, float(mu_lo), lam=lam, q=q, tau_hat=0.7)
+            if q == 1.0:
+                assert params.mu >= mu_lo
+            else:
+                assert params.theta >= 1.0 and params.mu >= mu_lo * params.theta
+
+
 def test_g_eval_at_anchor(mcp_spec):
     params = GParams(q=2.0, theta=1.0, mu=196.0, tau_hat=0.7)
     expected = penlq.p_eval(mcp_spec, 0.7) + 0.7**2

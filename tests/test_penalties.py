@@ -15,7 +15,7 @@ from penlq import (
     p_d2,
     p_eval,
 )
-from penlq.penalties import sampled_k_bound, spec_from_dict, spec_to_dict
+from penlq.penalties import _float_eval, sampled_k_bound, spec_from_dict, spec_to_dict
 
 from conftest import all_admissible_specs
 from oracles import central_d1, central_d2
@@ -228,3 +228,30 @@ def test_spec_json_round_trip(specs):
 def test_params_immutable(mcp_spec):
     with pytest.raises(TypeError):
         mcp_spec.params["gamma"] = 2.0
+
+
+_FLOAT_EVAL_SPECS = {
+    **all_admissible_specs(),
+    "linear": penlq.linear(1.5),
+    "piecewise_linear": penlq.piecewise_linear(2.0, 0.5, 0.7),
+    "scad_wide": penlq.scad(0.5, 3.7),
+    "mcp_wide": penlq.mcp(2.0, 1.5),
+    "bridge_low": penlq.bridge(0.2),
+    "log_steep": penlq.log_penalty(7.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_EVAL_SPECS))
+def test_float_eval_matches_p_eval(name):
+    spec = _FLOAT_EVAL_SPECS[name]
+    p = _float_eval(spec)
+    grid = np.concatenate([np.linspace(0.0, 5.0, 2001), [0.0], kink_points(spec)])
+    for t in grid.tolist():
+        want = p_eval(spec, t)
+        got = p(t)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (t, got, want)
+
+
+def test_float_eval_covers_every_family():
+    assert {spec.family for spec in _FLOAT_EVAL_SPECS.values()} == set(penlq.FAMILIES)
