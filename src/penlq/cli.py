@@ -42,6 +42,21 @@ def _emit(obj) -> None:
     print(serde.dumps(obj))
 
 
+def _emit_verdict(partition) -> int:
+    """Print the decode verdict for ``partition`` (None: unknown) and return its exit code."""
+    if partition is None:
+        _emit({"verdict": "unknown", "partition": None, "sums": None})
+        return EXIT_UNKNOWN
+    _emit(
+        {
+            "verdict": "yes",
+            "partition": [list(s) for s in partition.subsets],
+            "sums": list(partition.subset_sums),
+        }
+    )
+    return EXIT_OK
+
+
 def cmd_penalty_check(args) -> int:
     spec = serde.load_penalty(args.spec)
     report = conditions.check_conditions(spec, grid_n=args.grid)
@@ -153,18 +168,7 @@ def cmd_solve(args) -> int:
 def cmd_decode(args) -> int:
     red = serde.load_instance(args.infile)
     x = serde.load_solution_matrix(args.sol, red)
-    partition = decode.decide(red, x)
-    if partition is None:
-        _emit({"verdict": "unknown", "partition": None, "sums": None})
-        return EXIT_UNKNOWN
-    _emit(
-        {
-            "verdict": "yes",
-            "partition": [list(s) for s in partition.subsets],
-            "sums": list(partition.subset_sums),
-        }
-    )
-    return EXIT_OK
+    return _emit_verdict(decode.decide(red, x))
 
 
 def cmd_demo(args) -> int:
@@ -205,18 +209,7 @@ def cmd_demo(args) -> int:
     result = solver.solve(red, mode="structured")
     print(f"structured solve: value = {result.value:.17g}, gap = {result.gap:.3g}, "
           f"assignments = {result.assignments_explored}")
-    partition = decode.decide(red, result.x)
-    if partition is None:
-        _emit({"verdict": "unknown", "partition": None, "sums": None})
-        return EXIT_UNKNOWN
-    _emit(
-        {
-            "verdict": "yes",
-            "partition": [list(s) for s in partition.subsets],
-            "sums": list(partition.subset_sums),
-        }
-    )
-    return EXIT_OK
+    return _emit_verdict(decode.decide(red, result.x))
 
 
 def build_parser() -> _Parser:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .penalties import PenaltyAnalysis, PenaltySpec, _frame, analyze, c1_margin, p_eval
+from .penalties import PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
-    tau, tau0, _ = _frame(spec)
+    tau, tau0, _ = band(spec)
 
     # Monotone on [0, 2*tau].
     grid = np.linspace(0.0, 2.0 * tau, grid_n)
@@ -123,7 +123,7 @@ def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.ndim != 1 or t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
-    tau, _, _ = _frame(spec)
+    tau, _, _ = band(spec)
     lhs = float(np.sum(p_eval(spec, np.abs(t_arr))))
     rhs = min(p_eval(spec, abs(float(np.sum(t_arr)))), p_eval(spec, tau))
     return lhs >= rhs - _TOL
@@ -186,7 +186,7 @@ class FuzzReport:
 
 def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -> FuzzReport:
     """Random lists (length 2..6, entries uniform in [-2*tau, 2*tau])."""
-    tau, _, _ = _frame(spec)
+    tau, _, _ = band(spec)
     rng = np.random.default_rng(seed)
     violations = 0
     lengths = (2, 3, 4, 5, 6)

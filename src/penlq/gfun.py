@@ -23,10 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_eval
+from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 
 _PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_TOL = 1e-12
+_MAX_GRID_EXP = 64
+
+
+def _require_q(q: float) -> None:
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"q must be a finite number >= 1, got {q}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,7 @@ class GParams:
     mu_root: float | None = None
 
     def __post_init__(self):
-        if self.q < 1.0:
-            raise ValueError("q must be at least 1")
+        _require_q(self.q)
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
         if self.theta < 0.0:
@@ -77,13 +82,11 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
            mu >= mu_lower * theta.
     q = 1: theta is forced to 0 and
            mu_lower = max(1 + p'(tau0), (p(tau_hat) + 1) / (tau_hat - tau0)).
+    Raises ValueError unless q is finite and at least 1.
     """
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
+    _require_q(q)
     tau, tau0, tau_hat = analysis.tau, analysis.tau0, analysis.tau_hat
     if q == 1.0:
-        from .penalties import p_d1
-
         slope = p_d1(spec, tau0)
         mu_hat = max(1.0 + slope, (p_eval(spec, tau_hat) + 1.0) / (tau_hat - tau0))
         return 0.0, mu_hat
@@ -130,12 +133,14 @@ def rationalize(
     (mu >= mu_lower when q = 1).  For q = 2 the mu root is additionally
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
-    thresholds.
+    thresholds.  Raises ValueError unless lam is finite and positive, q is
+    finite and at least 1, and grid_exp lies in 0..64.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be a positive finite number, got {lam}")
+    _require_q(q)
+    if not 0 <= grid_exp <= _MAX_GRID_EXP:
+        raise ValueError(f"grid_exp must lie in 0..{_MAX_GRID_EXP}, got {grid_exp}")
     if tau_hat is None:
         raise ValueError("rationalize requires the tau_hat anchor")
     if q == 1.0:

@@ -21,48 +21,22 @@ fraction          p(t) = (gamma+1)*t / (gamma+t)        (gamma > 0)
 log               p(t) = log(1+gamma*t) / log(1+gamma)  (gamma > 0)
 linear            p(t) = k*t                            (negative control)
 
-All evaluation functions accept scalars or numpy arrays.
+Everything known about one family - its parameter rules, p, p', p'' and a
+plain-float p, its kinks and its smooth band - is one record in a single
+registry, so adding a family touches one place.  All evaluation functions
+accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConditionViolationError, NondifferentiableError
-
-FAMILIES = (
-    "l0",
-    "bridge",
-    "hard_threshold",
-    "scad",
-    "mcp",
-    "piecewise_linear",
-    "fraction",
-    "log",
-    "linear",
-)
-
-# Required parameter names and their validation, per family.
-_PARAM_RULES = {
-    "l0": {},
-    "bridge": {"p": lambda v: 0.0 < v < 1.0},
-    "hard_threshold": {"gamma": lambda v: v > 0.0},
-    "scad": {"gamma": lambda v: v > 0.0, "a": lambda v: v > 2.0},
-    "mcp": {"gamma": lambda v: v > 0.0, "b": lambda v: v >= 1.0},
-    "piecewise_linear": {
-        "k1": lambda v: v > 0.0,
-        "k2": lambda v: v >= 0.0,
-        "a": lambda v: v > 0.0,
-    },
-    "fraction": {"gamma": lambda v: v > 0.0},
-    "log": {"gamma": lambda v: v > 0.0},
-    "linear": {"k": lambda v: True},
-}
 
 
 @dataclass(frozen=True)
@@ -75,29 +49,32 @@ class PenaltySpec:
 
     family: str
     params: Mapping[str, float]
+    # The same values as a plain dict, to pass to the formulas: ** on a dict
+    # costs a third of ** on the read-only params view, once per p_eval.
+    _kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _PARAM_RULES:
+        if self.family not in _REGISTRY:
             raise ValueError(f"unknown penalty family {self.family!r}")
-        rules = _PARAM_RULES[self.family]
-        missing = sorted(set(rules) - set(self.params))
-        extra = sorted(set(self.params) - set(rules))
+        record = _REGISTRY[self.family]
+        missing = sorted(set(record.params) - set(self.params))
+        extra = sorted(set(self.params) - set(record.params))
         if missing:
             raise ValueError(f"{self.family}: missing parameters {missing}")
         if extra:
             raise ValueError(f"{self.family}: unexpected parameters {extra}")
-        for name, ok in rules.items():
+        for name, ok in record.params.items():
             try:
                 value = float(self.params[name])
             except (TypeError, ValueError):
                 raise ValueError(f"{self.family}: parameter {name} must be a number") from None
             if not math.isfinite(value) or not ok(value):
                 raise ValueError(f"{self.family}: parameter {name}={value} out of range")
-        if self.family == "piecewise_linear" and not self.params["k1"] > self.params["k2"]:
-            raise ValueError("piecewise_linear: requires k1 > k2")
-        object.__setattr__(
-            self, "params", MappingProxyType({k: float(v) for k, v in self.params.items()})
-        )
+        params = {k: float(v) for k, v in self.params.items()}
+        if record.joint is not None and not record.joint[1](**params):
+            raise ValueError(f"{self.family}: requires {record.joint[0]}")
+        object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "_kwargs", params)
 
     def __getitem__(self, name: str) -> float:
         return self.params[name]
@@ -170,36 +147,39 @@ def p_eval(spec: PenaltySpec, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("p_eval: t must be non-negative")
-    out = _EVAL[spec.family](spec, t_arr)
+    out = _REGISTRY[spec.family].value(t_arr, **spec._kwargs)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def p_d1(spec: PenaltySpec, t):
     """First derivative p'(t) for t > 0 away from kink points."""
     t_arr = _check_diff_points(spec, t)
-    out = _D1[spec.family](spec, t_arr)
+    out = _REGISTRY[spec.family].d1(t_arr, **spec._kwargs)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def p_d2(spec: PenaltySpec, t):
     """Second derivative p''(t) for t > 0 away from kink points."""
     t_arr = _check_diff_points(spec, t)
-    out = _D2[spec.family](spec, t_arr)
+    out = _REGISTRY[spec.family].d2(t_arr, **spec._kwargs)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def kink_points(spec: PenaltySpec) -> tuple[float, ...]:
     """Points in (0, inf) where p' or p'' jumps, per family."""
-    p = spec.params
-    if spec.family == "hard_threshold":
-        return (p["gamma"],)
-    if spec.family == "scad":
-        return (p["gamma"], p["a"] * p["gamma"])
-    if spec.family == "mcp":
-        return (p["b"] * p["gamma"],)
-    if spec.family == "piecewise_linear":
-        return (p["a"],)
-    return ()
+    return _REGISTRY[spec.family].kinks(**spec._kwargs)
+
+
+def band(spec: PenaltySpec) -> tuple[float, float, float]:
+    """(tau, tau0, tau_hat): the family's smooth band [tau0, tau] and its anchor."""
+    return _REGISTRY[spec.family].band(**spec._kwargs)
+
+
+def _float_eval(spec: PenaltySpec):
+    """Plain-float p for ``spec``: a function of one float t >= 0 that agrees
+    with :func:`p_eval` to rounding, without numpy's per-call overhead.
+    Unchecked: the caller passes |t|."""
+    return _REGISTRY[spec.family].scalar(**spec._kwargs)
 
 
 def _check_diff_points(spec: PenaltySpec, t) -> np.ndarray:
@@ -216,315 +196,198 @@ def _check_diff_points(spec: PenaltySpec, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-family formulas
+# The families, one record each
 # ---------------------------------------------------------------------------
 
 
-def _eval_l0(spec, t):
-    return np.where(t > 0, 1.0, 0.0)
+@dataclass(frozen=True)
+class _Family:
+    """Everything known about one penalty family.
+
+    Every formula takes the family's parameters as keyword arguments.
+
+    params  : parameter name -> range check on its float value
+    joint   : optional (description, check) for a rule tying parameters
+              together
+    value   : p(t) on arrays
+    d1, d2  : p'(t) and p''(t) on arrays, for t > 0 off the kinks
+    scalar  : returns the plain-float p of one float t >= 0, the same
+              arithmetic as ``value`` without numpy
+    kinks   : points in (0, inf) where p' or p'' jumps
+    band    : (tau, tau0, tau_hat).  The band [tau0, tau] must sit strictly
+              inside a region where p is twice continuously differentiable,
+              and tau0 must exceed the last bend so that p is
+              concave-but-not-linear on [0, tau0]
+    """
+
+    params: Mapping[str, Callable[[float], bool]]
+    value: Callable
+    d1: Callable
+    d2: Callable
+    scalar: Callable
+    band: Callable
+    kinks: Callable = lambda **params: ()
+    joint: tuple[str, Callable] | None = None
 
 
-def _eval_bridge(spec, t):
-    return t ** spec["p"]
+def _band(tau: float) -> tuple[float, float, float]:
+    """The band [0.75*tau, tau] with its anchor at the midpoint."""
+    tau0 = 0.75 * tau
+    return tau, tau0, 0.5 * (tau0 + tau)
 
 
-def _eval_hard_threshold(spec, t):
-    g = spec["gamma"]
-    return g * g - np.maximum(g - t, 0.0) ** 2
+def _zero(t, **params):
+    return np.zeros_like(t)
 
 
-def _eval_scad(spec, t):
-    g, a = spec["gamma"], spec["a"]
-    mid = (2.0 * a * g * t - t * t - g * g) / (2.0 * (a - 1.0))
-    return np.where(t <= g, g * t, np.where(t <= a * g, mid, 0.5 * g * g * (a + 1.0)))
+def _positive(v: float) -> bool:
+    return v > 0.0
 
 
-def _eval_mcp(spec, t):
-    g, b = spec["gamma"], spec["b"]
-    return np.where(t <= b * g, g * t - t * t / (2.0 * b), 0.5 * b * g * g)
+# Registration order is the order of FAMILIES.
+_REGISTRY: dict[str, _Family] = {}
+
+# Any 0 < tau0 < tau works for the indicator; the fixed anchors (0.6, 0.7, 1)
+# keep its constants aligned with the mcp worked example.
+_REGISTRY["l0"] = _Family(
+    params={},
+    value=lambda t: np.where(t > 0, 1.0, 0.0),
+    d1=_zero,
+    d2=_zero,
+    scalar=lambda: lambda t: 1.0 if t > 0 else 0.0,
+    band=lambda: (1.0, 0.6, 0.7),
+)
+
+# Bridge, fraction, log and linear are smooth and concave on all of
+# [0, inf), so their band is [0.75, 1].
+_REGISTRY["bridge"] = _Family(
+    params={"p": lambda v: 0.0 < v < 1.0},
+    value=lambda t, p: t**p,
+    d1=lambda t, p: p * t ** (p - 1.0),
+    d2=lambda t, p: p * (p - 1.0) * t ** (p - 2.0),
+    scalar=lambda p: lambda t: t**p,
+    band=lambda p: _band(1.0),
+)
+
+_REGISTRY["hard_threshold"] = _Family(
+    params={"gamma": _positive},
+    value=lambda t, gamma: gamma * gamma - np.maximum(gamma - t, 0.0) ** 2,
+    d1=lambda t, gamma: 2.0 * np.maximum(gamma - t, 0.0),
+    d2=lambda t, gamma: np.where(t < gamma, -2.0, 0.0),
+    scalar=lambda gamma: lambda t: gamma * gamma - max(gamma - t, 0.0) ** 2,
+    kinks=lambda gamma: (gamma,),
+    band=lambda gamma: _band(gamma / 2.0),
+)
 
 
-def _eval_piecewise_linear(spec, t):
-    k1, k2, a = spec["k1"], spec["k2"], spec["a"]
-    return np.where(t <= a, k1 * t, k2 * t + (k1 - k2) * a)
+def _scad_value(t, gamma, a):
+    mid = (2.0 * a * gamma * t - t * t - gamma * gamma) / (2.0 * (a - 1.0))
+    cap = 0.5 * gamma * gamma * (a + 1.0)
+    return np.where(t <= gamma, gamma * t, np.where(t <= a * gamma, mid, cap))
 
 
-def _eval_fraction(spec, t):
-    g = spec["gamma"]
-    return (g + 1.0) * t / (g + t)
-
-
-def _eval_log(spec, t):
-    g = spec["gamma"]
-    return np.log1p(g * t) / math.log1p(g)
-
-
-def _eval_linear(spec, t):
-    return spec["k"] * t
-
-
-# Plain-float forms of the same formulas, for hot scalar loops (the descent
-# line search).  Each factory binds the parameters once and returns a
-# function of one float t >= 0; the arithmetic mirrors the array form above
-# operation for operation.
-
-
-def _float_l0(spec):
-    return lambda t: 1.0 if t > 0 else 0.0
-
-
-def _float_bridge(spec):
-    p = spec["p"]
-    return lambda t: t**p
-
-
-def _float_hard_threshold(spec):
-    g = spec["gamma"]
-    return lambda t: g * g - max(g - t, 0.0) ** 2
-
-
-def _float_scad(spec):
-    g, a = spec["gamma"], spec["a"]
-    knee, cap, den = a * g, 0.5 * g * g * (a + 1.0), 2.0 * (a - 1.0)
+def _scad_scalar(gamma, a):
+    knee, cap, den = a * gamma, 0.5 * gamma * gamma * (a + 1.0), 2.0 * (a - 1.0)
 
     def p(t):
-        if t <= g:
-            return g * t
+        if t <= gamma:
+            return gamma * t
         if t <= knee:
-            return (2.0 * a * g * t - t * t - g * g) / den
+            return (2.0 * a * gamma * t - t * t - gamma * gamma) / den
         return cap
 
     return p
 
 
-def _float_mcp(spec):
-    g, b = spec["gamma"], spec["b"]
-    knee, cap = b * g, 0.5 * b * g * g
-    return lambda t: g * t - t * t / (2.0 * b) if t <= knee else cap
+# p is linear below gamma, so tau0 = 1.5*gamma clears that bend, and
+# tau = 2*gamma stays below the kink a*gamma because a > 2.
+_REGISTRY["scad"] = _Family(
+    params={"gamma": _positive, "a": lambda v: v > 2.0},
+    value=_scad_value,
+    d1=lambda t, gamma, a: np.where(t <= gamma, gamma, np.maximum(a * gamma - t, 0.0) / (a - 1.0)),
+    d2=lambda t, gamma, a: np.where((t > gamma) & (t < a * gamma), -1.0 / (a - 1.0), 0.0),
+    scalar=_scad_scalar,
+    kinks=lambda gamma, a: (gamma, a * gamma),
+    band=lambda gamma, a: _band(2.0 * gamma),
+)
 
 
-def _float_piecewise_linear(spec):
-    k1, k2, a = spec["k1"], spec["k2"], spec["a"]
-    return lambda t: k1 * t if t <= a else k2 * t + (k1 - k2) * a
+def _mcp_scalar(gamma, b):
+    knee, cap = b * gamma, 0.5 * b * gamma * gamma
+    return lambda t: gamma * t - t * t / (2.0 * b) if t <= knee else cap
 
 
-def _float_fraction(spec):
-    g = spec["gamma"]
-    return lambda t: (g + 1.0) * t / (g + t)
+_REGISTRY["mcp"] = _Family(
+    params={"gamma": _positive, "b": lambda v: v >= 1.0},
+    value=lambda t, gamma, b: np.where(
+        t <= b * gamma, gamma * t - t * t / (2.0 * b), 0.5 * b * gamma * gamma
+    ),
+    d1=lambda t, gamma, b: np.maximum(gamma - t / b, 0.0),
+    d2=lambda t, gamma, b: np.where(t < b * gamma, -1.0 / b, 0.0),
+    scalar=_mcp_scalar,
+    kinks=lambda gamma, b: (b * gamma,),
+    band=lambda gamma, b: _band(0.8 * min(gamma, b * gamma)),
+)
+
+# p is linear below the breakpoint a, so tau0 = 1.5*a clears that bend.
+_REGISTRY["piecewise_linear"] = _Family(
+    params={"k1": _positive, "k2": lambda v: v >= 0.0, "a": _positive},
+    joint=("k1 > k2", lambda k1, k2, a: k1 > k2),
+    value=lambda t, k1, k2, a: np.where(t <= a, k1 * t, k2 * t + (k1 - k2) * a),
+    d1=lambda t, k1, k2, a: np.where(t < a, k1, k2),
+    d2=_zero,
+    scalar=lambda k1, k2, a: lambda t: k1 * t if t <= a else k2 * t + (k1 - k2) * a,
+    kinks=lambda k1, k2, a: (a,),
+    band=lambda k1, k2, a: _band(2.0 * a),
+)
+
+_REGISTRY["fraction"] = _Family(
+    params={"gamma": _positive},
+    value=lambda t, gamma: (gamma + 1.0) * t / (gamma + t),
+    d1=lambda t, gamma: gamma * (gamma + 1.0) / (gamma + t) ** 2,
+    d2=lambda t, gamma: -2.0 * gamma * (gamma + 1.0) / (gamma + t) ** 3,
+    scalar=lambda gamma: lambda t: (gamma + 1.0) * t / (gamma + t),
+    band=lambda gamma: _band(1.0),
+)
 
 
-def _float_log(spec):
-    g = spec["gamma"]
-    norm = math.log1p(g)
-    return lambda t: math.log1p(g * t) / norm
+def _log_scalar(gamma):
+    norm = math.log1p(gamma)
+    return lambda t: math.log1p(gamma * t) / norm
 
 
-def _float_linear(spec):
-    k = spec["k"]
-    return lambda t: k * t
+_REGISTRY["log"] = _Family(
+    params={"gamma": _positive},
+    value=lambda t, gamma: np.log1p(gamma * t) / math.log1p(gamma),
+    d1=lambda t, gamma: gamma / ((1.0 + gamma * t) * math.log1p(gamma)),
+    d2=lambda t, gamma: -gamma * gamma / ((1.0 + gamma * t) ** 2 * math.log1p(gamma)),
+    scalar=_log_scalar,
+    band=lambda gamma: _band(1.0),
+)
 
+_REGISTRY["linear"] = _Family(
+    params={"k": lambda v: True},
+    value=lambda t, k: k * t,
+    d1=lambda t, k: np.full_like(t, k),
+    d2=_zero,
+    scalar=lambda k: lambda t: k * t,
+    band=lambda k: _band(1.0),
+)
 
-def _float_eval(spec: PenaltySpec):
-    """Plain-float p for ``spec``: a function of one float t >= 0 that agrees
-    with :func:`p_eval` to rounding, without numpy's per-call overhead.
-    Unchecked: the caller passes |t|."""
-    return _FLOAT[spec.family](spec)
-
-
-def _d1_l0(spec, t):
-    return np.zeros_like(t)
-
-
-def _d1_bridge(spec, t):
-    p = spec["p"]
-    return p * t ** (p - 1.0)
-
-
-def _d1_hard_threshold(spec, t):
-    g = spec["gamma"]
-    return 2.0 * np.maximum(g - t, 0.0)
-
-
-def _d1_scad(spec, t):
-    g, a = spec["gamma"], spec["a"]
-    return np.where(t <= g, g, np.maximum(a * g - t, 0.0) / (a - 1.0))
-
-
-def _d1_mcp(spec, t):
-    g, b = spec["gamma"], spec["b"]
-    return np.maximum(g - t / b, 0.0)
-
-
-def _d1_piecewise_linear(spec, t):
-    k1, k2, a = spec["k1"], spec["k2"], spec["a"]
-    return np.where(t < a, k1, k2)
-
-
-def _d1_fraction(spec, t):
-    g = spec["gamma"]
-    return g * (g + 1.0) / (g + t) ** 2
-
-
-def _d1_log(spec, t):
-    g = spec["gamma"]
-    return g / ((1.0 + g * t) * math.log1p(g))
-
-
-def _d1_linear(spec, t):
-    return np.full_like(t, spec["k"])
-
-
-def _d2_l0(spec, t):
-    return np.zeros_like(t)
-
-
-def _d2_bridge(spec, t):
-    p = spec["p"]
-    return p * (p - 1.0) * t ** (p - 2.0)
-
-
-def _d2_hard_threshold(spec, t):
-    return np.where(t < spec["gamma"], -2.0, 0.0)
-
-
-def _d2_scad(spec, t):
-    g, a = spec["gamma"], spec["a"]
-    in_band = (t > g) & (t < a * g)
-    return np.where(in_band, -1.0 / (a - 1.0), 0.0)
-
-
-def _d2_mcp(spec, t):
-    g, b = spec["gamma"], spec["b"]
-    return np.where(t < b * g, -1.0 / b, 0.0)
-
-
-def _d2_piecewise_linear(spec, t):
-    return np.zeros_like(t)
-
-
-def _d2_fraction(spec, t):
-    g = spec["gamma"]
-    return -2.0 * g * (g + 1.0) / (g + t) ** 3
-
-
-def _d2_log(spec, t):
-    g = spec["gamma"]
-    return -g * g / ((1.0 + g * t) ** 2 * math.log1p(g))
-
-
-def _d2_linear(spec, t):
-    return np.zeros_like(t)
-
-
-_EVAL = {
-    "l0": _eval_l0,
-    "bridge": _eval_bridge,
-    "hard_threshold": _eval_hard_threshold,
-    "scad": _eval_scad,
-    "mcp": _eval_mcp,
-    "piecewise_linear": _eval_piecewise_linear,
-    "fraction": _eval_fraction,
-    "log": _eval_log,
-    "linear": _eval_linear,
-}
-
-_FLOAT = {
-    "l0": _float_l0,
-    "bridge": _float_bridge,
-    "hard_threshold": _float_hard_threshold,
-    "scad": _float_scad,
-    "mcp": _float_mcp,
-    "piecewise_linear": _float_piecewise_linear,
-    "fraction": _float_fraction,
-    "log": _float_log,
-    "linear": _float_linear,
-}
-
-_D1 = {
-    "l0": _d1_l0,
-    "bridge": _d1_bridge,
-    "hard_threshold": _d1_hard_threshold,
-    "scad": _d1_scad,
-    "mcp": _d1_mcp,
-    "piecewise_linear": _d1_piecewise_linear,
-    "fraction": _d1_fraction,
-    "log": _d1_log,
-    "linear": _d1_linear,
-}
-
-_D2 = {
-    "l0": _d2_l0,
-    "bridge": _d2_bridge,
-    "hard_threshold": _d2_hard_threshold,
-    "scad": _d2_scad,
-    "mcp": _d2_mcp,
-    "piecewise_linear": _d2_piecewise_linear,
-    "fraction": _d2_fraction,
-    "log": _d2_log,
-    "linear": _d2_linear,
-}
+FAMILIES = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # Analysis constants
 # ---------------------------------------------------------------------------
 
-# Default smooth band [tau0, tau] per family.  The band must sit strictly
-# inside a region where p is twice continuously differentiable, and tau0 must
-# exceed the last bend so that p is concave-but-not-linear on [0, tau0]:
-#   scad needs tau0 > gamma (p is linear below gamma), and tau <= a*gamma
-#   holds because a > 2; piecewise_linear needs tau0 > a for the same reason.
-# l0 uses the fixed anchors (0.6, 0.7, 1): any 0 < tau0 < tau works for the
-# indicator, and these keep its constants aligned with the mcp worked example.
-def _frame(spec: PenaltySpec) -> tuple[float, float, float]:
-    """Return (tau, tau0, tau_hat) for the family."""
-    p = spec.params
-    if spec.family == "l0":
-        return 1.0, 0.6, 0.7
-    if spec.family == "hard_threshold":
-        tau = p["gamma"] / 2.0
-    elif spec.family == "scad":
-        tau = 2.0 * p["gamma"]
-    elif spec.family == "mcp":
-        tau = 0.8 * min(p["gamma"], p["b"] * p["gamma"])
-    elif spec.family == "piecewise_linear":
-        tau = 2.0 * p["a"]
-    else:  # bridge, fraction, log, linear: concave on all of [0, inf)
-        tau = 1.0
-    tau0 = 0.75 * tau
-    return tau, tau0, 0.5 * (tau0 + tau)
-
-
-def _k_bound(spec: PenaltySpec, tau0: float, tau: float) -> float:
-    """Exact max of -p'' over [tau0, tau], from the closed forms.
-
-    -p'' is non-increasing on the band for every family, so the max sits at
-    tau0 where it is not constant.
-    """
-    p = spec.params
-    if spec.family == "bridge":
-        e = p["p"]
-        return e * (1.0 - e) * tau0 ** (e - 2.0)
-    if spec.family == "hard_threshold":
-        return 2.0
-    if spec.family == "scad":
-        return 1.0 / (p["a"] - 1.0)
-    if spec.family == "mcp":
-        return 1.0 / p["b"]
-    if spec.family == "fraction":
-        g = p["gamma"]
-        return 2.0 * g * (g + 1.0) / (g + tau0) ** 3
-    if spec.family == "log":
-        g = p["gamma"]
-        return g * g / ((1.0 + g * tau0) ** 2 * math.log1p(g))
-    return 0.0  # l0, piecewise_linear, linear: p'' == 0 on the band
-
 
 def sampled_k_bound(spec: PenaltySpec, tau0: float, tau: float, grid_n: int = 1000) -> float:
     """Grid-sampled max of -p'' on [tau0, tau], padded by a 1% safety factor.
 
     Fallback route for penalties without a closed-form curvature bound; for
-    the builtins it cross-checks :func:`_k_bound` in the test suite.
+    the builtins it cross-checks the ``k_bound`` of :func:`analyze` in the
+    test suite.
     """
     grid = np.linspace(tau0, tau, grid_n)
     return 1.01 * float(np.max(-p_d2(spec, grid)))
@@ -547,16 +410,18 @@ def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     Raises :class:`ConditionViolationError` when the non-linearity margin c1
     is not strictly positive (the linear/LASSO family, in particular).
     """
-    tau, tau0, tau_hat = _frame(spec)
+    tau, tau0, tau_hat = band(spec)
     c1 = c1_margin(spec, tau0)
     if not c1 > 1e-12:
         raise ConditionViolationError(
             f"{spec.family}: penalty is linear on [0, {tau0:g}] (c1 = {c1:.3g}); "
             "the reduction requires a concave-but-not-linear penalty"
         )
-    return PenaltyAnalysis(
-        tau=tau, tau0=tau0, tau_hat=tau_hat, c1=c1, k_bound=_k_bound(spec, tau0, tau)
-    )
+    # -p'' is non-increasing on the band for every family, so its max over
+    # [tau0, tau] sits at tau0; the band avoids every kink, so d2 is called
+    # directly, without the kink check of p_d2.
+    k_bound = max(0.0, -float(_REGISTRY[spec.family].d2(tau0, **spec._kwargs)))
+    return PenaltyAnalysis(tau=tau, tau0=tau0, tau_hat=tau_hat, c1=c1, k_bound=k_bound)
 
 
 # ---------------------------------------------------------------------------

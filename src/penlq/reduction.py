@@ -21,6 +21,7 @@ item).  Solution matrices are (n, m) arrays in the same layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +30,29 @@ from .gfun import GAnalysis, GParams, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ThreePartitionInstance:
-    """Multiset b_1..b_n of positive integers with n = 3m and sum(b) = m*B."""
+    """Multiset b_1..b_n of positive integers with n = 3m and sum(b) = m*B.
+
+    m and every item must be Python or numpy integers; floats and bools are
+    rejected with ValueError rather than coerced.
+    """
 
     m: int
     b: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_integer(self.m) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        if not all(_is_integer(v) for v in self.b):
+            raise ValueError("all items must be integers")
+        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "b", tuple(int(v) for v in self.b))
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
         if len(self.b) != 3 * self.m:
             raise ValueError(f"expected n = 3m = {3 * self.m} items, got {len(self.b)}")
         if any(v <= 0 for v in self.b):
@@ -72,8 +85,8 @@ class ProblemInstance:
         t = np.ascontiguousarray(np.asarray(self.target, dtype=float))
         if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
             raise ValueError("A must be 2-d with one target entry per row")
-        if self.lam <= 0.0 or self.q < 1.0:
-            raise ValueError("require lam > 0 and q >= 1")
+        if not (0.0 < self.lam < math.inf and 1.0 <= self.q < math.inf):
+            raise ValueError("require finite lam > 0 and finite q >= 1")
         a.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)

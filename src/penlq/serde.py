@@ -67,9 +67,9 @@ def save_penalty(path, spec: PenaltySpec) -> None:
 def tp_from_dict(data: dict) -> ThreePartitionInstance:
     if "tp" in data:
         data = data["tp"]
-    if not isinstance(data, dict) or "m" not in data or "b" not in data:
-        raise ValueError("3-partition input must provide 'm' and 'b'")
-    return ThreePartitionInstance(m=int(data["m"]), b=tuple(data["b"]))
+    if not isinstance(data, dict) or "m" not in data or not isinstance(data.get("b"), list):
+        raise ValueError("3-partition input must provide 'm' and a list 'b'")
+    return ThreePartitionInstance(m=data["m"], b=tuple(data["b"]))
 
 
 def load_tp(path) -> ThreePartitionInstance:

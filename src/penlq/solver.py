@@ -2,7 +2,9 @@
 
 :func:`minimize_structured` enumerates the certificate-shaped family
 exhaustively: every assignment of items to subsets, with x_ij = t_star on
-the chosen subset and 0 elsewhere.  For instances built from a 3-partition
+the chosen subset and 0 elsewhere, scored in one vectorized numpy pass.
+Since n = 3m, the 10**7 size guard admits m <= 3 only, i.e. at most 3**9
+assignments, so the pass is serial and small.  For instances built from a 3-partition
 with an equal-sum partition this family contains a global optimum, so the
 enumerator is exact there; on other instances it upper-bounds the optimum
 over the structured family only.  :func:`local_descent` is a generic
@@ -14,8 +16,6 @@ instead of gradients).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,6 @@ from .penalties import _float_eval
 from .reduction import ProblemInstance, ReductionInstance, objective, optimal_bound
 
 _MAX_ASSIGNMENTS = 10**7
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,44 +37,14 @@ class SolveResult:
     seed: int
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PENLQ_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:  # 0 = auto
-        cap = min(4, os.cpu_count() or 1)
-    return cap
-
-
-def _assignment_digits(indices: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Decode assignment indices into per-item subset choices (little-endian:
-    item i is digit i of the base-m index)."""
-    powers = m ** np.arange(n, dtype=np.int64)
-    return (indices[:, None] // powers[None, :]) % m
-
-
-def _best_in_chunk(
-    start: int, stop: int, b: np.ndarray, n: int, m: int, q: float
-) -> tuple[float, int]:
-    """Min of sum_{j>=2} |C_j - C_1|^q over assignments in [start, stop)."""
-    indices = np.arange(start, stop, dtype=np.int64)
-    digits = _assignment_digits(indices, n, m)
-    sums = np.empty((indices.size, m))
-    for j in range(m):
-        sums[:, j] = ((digits == j) * b).sum(axis=1)
-    imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** q, axis=1)
-    k = int(np.argmin(imbalance))
-    return float(imbalance[k]), int(indices[k])
-
-
 def minimize_structured(red: ReductionInstance) -> SolveResult:
     """Exhaustive search over all m**n certificate-shaped solutions.
 
     For each assignment, F = n*lam*h + t_star**q * sum_{j>=2} |C_j - C_1|^q
     where C_j is the integer sum of items assigned to subset j, so only the
-    integer imbalance term varies.  Deterministic: ties break toward the
+    integer imbalance term varies.  All assignments are scored in one
+    vectorized pass; assignment k puts item i in subset digit i of k written
+    in base m (little-endian).  Deterministic: ties break toward the
     smallest assignment index.  Raises SizeGuardError above 10**7
     assignments.
     """
@@ -86,20 +55,16 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
             f"m**n = {total} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
         )
     b = np.asarray(red.tp.b, dtype=np.int64)
-    q = red.problem.q
+    powers = m ** np.arange(n, dtype=np.int64)
+    digits = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % m
+    sums = np.empty((total, m))
+    for j in range(m):
+        sums[:, j] = ((digits == j) * b).sum(axis=1)
+    imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** red.problem.q, axis=1)
+    best = int(np.argmin(imbalance))  # the first minimum: smallest index
 
-    spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    workers = _thread_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partial = list(pool.map(lambda sp: _best_in_chunk(*sp, b, n, m, q), spans))
-    else:
-        partial = [_best_in_chunk(s, e, b, n, m, q) for s, e in spans]
-    _, best_index = min(partial, key=lambda pair: (pair[0], pair[1]))
-
-    digits = _assignment_digits(np.array([best_index], dtype=np.int64), n, m)[0]
     x = np.zeros((n, m))
-    x[np.arange(n), digits] = red.t_star
+    x[np.arange(n), digits[best]] = red.t_star
     value = objective(red, x)
     return SolveResult(
         x=x, value=value, gap=value - optimal_bound(red), assignments_explored=total, seed=0

@@ -1,12 +1,15 @@
 """Independent oracles used by the test suite.
 
 Nothing here calls into the solver or decoder paths it is used to check:
-the 3-partition oracle is a plain bin-completion backtracker, the objective
-oracle evaluates the four-block sum term by term, and the derivative
-oracles are central finite differences.
+the 3-partition oracle is a plain bin-completion backtracker, the
+structured-minimum oracle a pure-Python loop over every assignment, the
+objective oracle evaluates the four-block sum term by term, and the
+derivative oracles are central finite differences.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -38,6 +41,26 @@ def three_partition_oracle(m: int, b) -> bool:
         return False
 
     return place(0)
+
+
+def structured_minimum(m: int, b, q: float) -> tuple[int, ...]:
+    """Assignment minimizing sum_{j>=2} |C_j - C_1|^q, item i in subset a[i].
+
+    Assignments are visited in order of their little-endian base-m index
+    (item i is digit i), and only a strictly smaller imbalance replaces the
+    incumbent, so ties go to the smallest index.
+    """
+    best, best_value = None, None
+    # product() varies its last position fastest, i.e. it counts up in base m
+    # with the most significant digit first; reversed, item i is digit i.
+    for digits in itertools.product(range(m), repeat=len(b)):
+        sums = [0] * m
+        for item, subset in zip(reversed(b), digits):
+            sums[subset] += item
+        value = sum(abs(c - sums[0]) ** q for c in sums[1:])
+        if best_value is None or value < best_value:
+            best, best_value = digits[::-1], value
+    return best
 
 
 def objective_by_blocks(red, x) -> float:

@@ -131,6 +131,36 @@ def test_malformed_tp_is_usage_error(capsys, tmp_path, mcp_file):
     assert code == 1 and "divisible" in err
 
 
+@pytest.mark.parametrize(
+    "tp",
+    [
+        '{"m": 2, "b": [1.5, 2, 3, 1, 2, 3.7]}',
+        '{"m": 2, "b": [true, true, 1, 1, 1, 1]}',
+        '{"m": 2.9, "b": [1, 2, 3, 1, 2, 3]}',
+        '{"m": 2, "b": 5}',
+    ],
+)
+def test_non_integer_tp_is_usage_error(capsys, tmp_path, mcp_file, tp):
+    path = tmp_path / "bad.json"
+    path.write_text(tp)
+    out_file = tmp_path / "x.json"
+    code, out, err = run(capsys, "reduce", "build", "--in", str(path), "--spec", mcp_file,
+                         "--q", "2", "--lambda", "1", "--out", str(out_file))
+    assert code == 1 and out == "" and "penlq: error" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--grid-exp", "2000"), ("--lambda", "inf"), ("--q", "nan")]
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, mcp_file, flag, value):
+    args = {"--q": "2", "--lambda": "1", "--grid-exp": "20", flag: value}
+    code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file,
+                         *[word for pair in args.items() for word in pair])
+    assert code == 1 and out == "" and "penlq: error" in err
+    assert "Traceback" not in err and "NaN to integer" not in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1 and err

@@ -34,8 +34,35 @@ def test_lower_bounds_l0_q2():
 
 
 def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
+    for q in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lower_bounds(mcp_spec, mcp_analysis, q=q)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"lam": 0.0},
+        {"lam": float("inf")},
+        {"lam": float("nan")},
+        {"q": float("nan")},
+        {"q": float("inf")},
+        {"grid_exp": -1},
+        {"grid_exp": 65},
+        {"grid_exp": 2000},
+    ],
+)
+def test_rationalize_rejects_out_of_range_inputs(mcp_analysis, kwargs):
+    args = {"lam": 1.0, "q": 2.0, "grid_exp": 20, **kwargs}
     with pytest.raises(ValueError):
-        lower_bounds(mcp_spec, mcp_analysis, q=0.5)
+        rationalize(1.0, 194.5, tau_hat=mcp_analysis.tau_hat, **args)
+
+
+def test_rationalize_grid_exp_range_ends(mcp_analysis):
+    for grid_exp in (0, 64):
+        params = rationalize(1.0, 194.5, lam=1.0, q=2.0, grid_exp=grid_exp,
+                             tau_hat=mcp_analysis.tau_hat)
+        assert params.theta >= 1.0 and params.mu >= 194.5 * params.theta
 
 
 def test_rationalize_mcp_q2_snaps_to_square(mcp_analysis):

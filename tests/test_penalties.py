@@ -186,8 +186,22 @@ def test_scad_mcp_values_match_quadrature_of_derivative(spec):
         assert abs(p_eval(spec, t) - val) < 1e-9
 
 
+def _random_curved_specs(seed: int, count: int):
+    """Random-parameter specs of the families whose -p'' is not zero on the band."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        gamma = float(rng.uniform(0.05, 5.0))
+        yield penlq.bridge(float(rng.uniform(0.01, 0.99)))
+        yield penlq.fraction(gamma)
+        yield penlq.log_penalty(gamma)
+        yield penlq.scad(gamma, float(rng.uniform(2.0, 6.0) + 1e-3))
+        yield penlq.mcp(gamma, float(rng.uniform(1.0, 5.0)))
+        yield penlq.hard_threshold(gamma)
+
+
 def test_k_bound_dominates_sampled_curvature(specs):
-    for spec in specs.values():
+    # k_bound is -p''(tau0): the random parameters check that this is the max
+    for spec in [*specs.values(), *_random_curved_specs(29, 50)]:
         an = analyze(spec)
         sampled = sampled_k_bound(spec, an.tau0, an.tau)
         # exact bound sits between the raw sampled max and its padded value

@@ -24,11 +24,22 @@ BOUND_MCP = 5.647938931297711  # 6 * h for the worked example
         (2, (1, 2, 3, 1, 2, 4)),  # sum not divisible by m
         (2, (1, 2, 3, 1, 2, 0)),  # non-positive item
         (0, ()),
+        (2, (1.5, 2, 3, 1, 2, 3.7)),  # non-integral items are not rounded
+        (2, (1.0, 2, 3, 1, 2, 3)),  # integral floats are floats too
+        (2, (True, True, 1, 1, 1, 1)),  # bool is not an integer here
+        (2.0, (1, 2, 3, 1, 2, 3)),
+        (True, (1, 2, 3)),
     ],
 )
 def test_tp_validation(m, b):
     with pytest.raises(ValueError):
         ThreePartitionInstance(m=m, b=b)
+
+
+def test_tp_accepts_numpy_integers():
+    tp = ThreePartitionInstance(m=np.int64(2), b=np.array([1, 2, 3, 1, 2, 3]))
+    assert tp == ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
+    assert type(tp.m) is int and all(type(v) is int for v in tp.b)
 
 
 def test_tp_derived_fields():
@@ -117,6 +128,15 @@ def test_objective_never_below_bound(demo_instance):
     xs = rng.uniform(-1.6, 1.6, size=(10_000, 12))
     values = [objective(demo_instance, x) for x in xs]
     assert min(values) >= bound - 1e-9
+
+
+@pytest.mark.parametrize(
+    "lam, q", [(0.0, 2.0), (float("inf"), 2.0), (float("nan"), 2.0), (1.0, 0.5),
+               (1.0, float("inf")), (1.0, float("nan"))],
+)
+def test_problem_instance_requires_finite_lam_and_q(mcp_spec, lam, q):
+    with pytest.raises(ValueError, match="finite"):
+        penlq.ProblemInstance(np.eye(2), np.zeros(2), lam, q, mcp_spec)
 
 
 def test_objective_dimension_mismatch(demo_instance):

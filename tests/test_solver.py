@@ -21,7 +21,7 @@ from penlq.reduction import ProblemInstance
 from penlq.solver import _restriction
 
 from conftest import all_admissible_specs
-from oracles import three_partition_oracle
+from oracles import NO_INSTANCES, YES_INSTANCES, structured_minimum, three_partition_oracle
 
 
 def test_structured_attains_bound_on_yes(demo_instance):
@@ -58,16 +58,14 @@ def test_size_guard(mcp_spec):
         minimize_structured(red)
 
 
-def test_structured_deterministic_across_thread_counts(mcp_spec, monkeypatch):
-    # 3**9 assignments span several chunks, so the threaded path really runs
-    tp = ThreePartitionInstance(m=3, b=(1, 2, 3, 1, 2, 3, 1, 2, 3))
-    red = build(tp, mcp_spec, q=2.0, lam=1.0)
-    monkeypatch.setenv("PENLQ_THREADS", "1")
-    serial = minimize_structured(red)
-    monkeypatch.setenv("PENLQ_THREADS", "3")
-    threaded = minimize_structured(red)
-    assert np.array_equal(serial.x, threaded.x)
-    assert serial.value == threaded.value
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_structured_matches_brute_force_with_smallest_index_tie_break(mcp_spec, q):
+    # integer imbalances at q = 1, 2 are exact in float, so ties are real ties
+    for m, b in YES_INSTANCES + NO_INSTANCES:
+        red = build(ThreePartitionInstance(m=m, b=b), mcp_spec, q=q, lam=1.0)
+        expected = np.zeros((red.n, m))
+        expected[np.arange(red.n), structured_minimum(m, b, q)] = red.t_star
+        assert np.array_equal(minimize_structured(red).x, expected), (m, b)
 
 
 def test_structured_solution_decodes_equitably(demo_instance):
