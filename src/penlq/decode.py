@@ -4,10 +4,9 @@ The construction guarantees that any solution with objective below
 bound + epsilon has, in every item row, exactly one entry within 2*delta of
 t_star and all other entries within delta of zero.  :func:`round_solution`
 enforces exactly that pattern, :func:`to_partition` reads the partition off
-the rounded matrix, and :func:`decide` chains the whole argument: a
-sub-threshold objective must yield an equitable partition, and any failure
-along the way is an implementation bug, reported as
-:class:`ReductionInvariantError`.
+the rounded matrix, and :func:`decide` accepts x exactly when it rounds to
+an equal-sum partition.  A sub-threshold objective that fails to decode is
+an implementation bug, reported as :class:`ReductionInvariantError`.
 """
 
 from __future__ import annotations
@@ -81,40 +80,42 @@ def to_partition(red: ReductionInstance, rounded: RoundedSolution) -> Partition:
 
 
 def verify_equitable(tp: ThreePartitionInstance, partition: Partition) -> bool:
-    """True iff every subset sums to B; sums are recomputed, not trusted."""
+    """True iff every subset sums to B; sums are recomputed, not trusted.
+
+    ``partition`` may also be a plain sequence of 1-based index lists.
+    """
+    subsets = getattr(partition, "subsets", partition)
     counts = [0] * (tp.n + 1)
-    for subset in partition.subsets:
+    for subset in subsets:
         for item in subset:
             if not 1 <= item <= tp.n:
                 raise ValueError(f"item index {item} outside 1..{tp.n}")
             counts[item] += 1
     if any(c != 1 for c in counts[1:]):
         raise ValueError("partition must cover every item exactly once")
-    return all(
-        sum(tp.b[i - 1] for i in subset) == tp.target_sum for subset in partition.subsets
-    )
+    return all(sum(tp.b[i - 1] for i in subset) == tp.target_sum for subset in subsets)
 
 
 def decide(red: ReductionInstance, x) -> Partition | None:
-    """Decode x: an equitable Partition when F(x) < bound + epsilon, else None.
+    """Decode x: the Partition it rounds to when every subset sums to B, else None.
 
-    Below the threshold the rounding must succeed and the decoded subset
-    sums must agree (their pairwise differences are integers strictly below
-    1); if either step fails, the reduction's guarantee is broken and a
-    ReductionInvariantError is raised.
+    The verdict rests on the exact integer sums alone, so float error in
+    F(x) cannot turn a verified partition away.  An x that does not decode
+    although F(x) < bound + epsilon breaks the reduction's guarantee and
+    raises ReductionInvariantError.
     """
-    value = objective(red, x)
-    if not value < optimal_bound(red) + red.epsilon:
-        return None
     try:
         partition = to_partition(red, round_solution(red, x))
     except RoundingFailureError as exc:
+        failure = f"failed to round: {exc}"
+    else:
+        if verify_equitable(red.tp, partition):
+            return partition
+        failure = f"decoded to unequal subset sums {partition.subset_sums}"
+    value = objective(red, x)
+    if value < optimal_bound(red) + red.epsilon:
         raise ReductionInvariantError(
-            f"near-optimal solution (F = {value:.17g} < bound + epsilon) failed to round: {exc}"
-        ) from exc
-    if not verify_equitable(red.tp, partition):
-        raise ReductionInvariantError(
-            "near-optimal solution decoded to unequal subset sums "
-            f"{partition.subset_sums}; the construction guarantees equality"
+            f"near-optimal solution (F = {value:.17g} < bound + epsilon) {failure}; "
+            "the construction guarantees an equal-sum partition"
         )
-    return partition
+    return None

@@ -30,6 +30,11 @@ _BRACKET_TOL = 1e-12
 _MAX_GRID_EXP = 64
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_q(q: float) -> None:
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q}")
@@ -134,13 +139,13 @@ def rationalize(
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
     thresholds.  Raises ValueError unless lam is finite and positive, q is
-    finite and at least 1, and grid_exp lies in 0..64.
+    finite and at least 1, and grid_exp is an integer (not a bool) in 0..64.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be a positive finite number, got {lam}")
     _require_q(q)
-    if not 0 <= grid_exp <= _MAX_GRID_EXP:
-        raise ValueError(f"grid_exp must lie in 0..{_MAX_GRID_EXP}, got {grid_exp}")
+    if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
+        raise ValueError(f"grid_exp must be an integer in 0..{_MAX_GRID_EXP}, got {grid_exp!r}")
     if tau_hat is None:
         raise ValueError("rationalize requires the tau_hat anchor")
     if q == 1.0:

@@ -30,6 +30,7 @@ accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -64,10 +65,9 @@ class PenaltySpec:
         if extra:
             raise ValueError(f"{self.family}: unexpected parameters {extra}")
         for name, ok in record.params.items():
-            try:
-                value = float(self.params[name])
-            except (TypeError, ValueError):
-                raise ValueError(f"{self.family}: parameter {name} must be a number") from None
+            value = self.params[name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.family}: parameter {name} must be a number")
             if not math.isfinite(value) or not ok(value):
                 raise ValueError(f"{self.family}: parameter {name}={value} out of range")
         params = {k: float(v) for k, v in self.params.items()}
@@ -75,9 +75,6 @@ class PenaltySpec:
             raise ValueError(f"{self.family}: requires {record.joint[0]}")
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_kwargs", params)
-
-    def __getitem__(self, name: str) -> float:
-        return self.params[name]
 
 
 def l0() -> PenaltySpec:
@@ -436,4 +433,7 @@ def spec_to_dict(spec: PenaltySpec) -> dict:
 def spec_from_dict(data: dict) -> PenaltySpec:
     if not isinstance(data, dict) or "family" not in data:
         raise ValueError("penalty spec must be an object with a 'family' key")
-    return PenaltySpec(str(data["family"]), dict(data.get("params", {})))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("penalty 'params' must be an object")
+    return PenaltySpec(str(data["family"]), params)

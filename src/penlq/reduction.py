@@ -26,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfun import GAnalysis, GParams, full_analysis
+from .gfun import GAnalysis, GParams, _is_integer, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -150,14 +145,14 @@ def build(
     tying each item's row sum to zero with weight (lam*theta)^(1/q) (omitted
     when theta = 0, i.e. q = 1), and n rows pulling each row sum to tau_hat
     with weight (lam*mu)^(1/q).  Raises ConditionViolationError for
-    inadmissible penalties.
+    inadmissible penalties and ValueError when sum(b) > 2**53 (A inexact).
     """
+    if sum(tp.b) > 2**53:
+        raise ValueError(f"sum(b) = {sum(tp.b)} exceeds 2**53; A would not be exact")
     analysis, gparams, ganalysis = full_analysis(spec, q, lam, grid_exp=grid_exp)
     n, m = tp.n, tp.m
     theta_root = gparams.theta_root
     mu_root = gparams.mu_root
-    if theta_root is None or mu_root is None:
-        raise ValueError("build requires rationalized coefficients with dyadic roots")
 
     n_rows = (m - 1) + (n if theta_root > 0.0 else 0) + n
     a = np.zeros((n_rows, n * m))
@@ -217,7 +212,7 @@ def encode_certificate(red: ReductionInstance, partition) -> np.ndarray:
     """Certificate matrix: x_ij = t_star where item i sits in subset j, else 0.
 
     ``partition`` is either a :class:`penlq.decode.Partition` or a sequence
-    of m index lists (1-based item indices).  For an equal-sum partition the
+    of m index lists (1-based integer item indices).  For an equal-sum partition the
     certificate attains the optimal bound to within accumulation noise.
     """
     subsets = getattr(partition, "subsets", partition)
@@ -227,11 +222,12 @@ def encode_certificate(red: ReductionInstance, partition) -> np.ndarray:
     seen: set[int] = set()
     for j, subset in enumerate(subsets):
         for item in subset:
-            idx = int(item)
-            if not 1 <= idx <= red.n or idx in seen:
+            if not _is_integer(item):
+                raise ValueError(f"partition item indices must be integers, got {item!r}")
+            if not 1 <= item <= red.n or item in seen:
                 raise ValueError(f"partition must cover items 1..{red.n} exactly once")
-            seen.add(idx)
-            x[idx - 1, j] = red.t_star
+            seen.add(item)
+            x[item - 1, j] = red.t_star
     if len(seen) != red.n:
         raise ValueError(f"partition must cover items 1..{red.n} exactly once")
     return x

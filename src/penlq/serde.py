@@ -8,8 +8,10 @@ Penalty file:   {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}
 3-partition:    {"m": 2, "b": [1, 2, 3, 1, 2, 3]}  (or wrapped under "tp")
 Instance file:  {"rows": R, "cols": C, "A": [...row-major...], "target":
                 [...], "lambda": ..., "q": ..., "meta": {...}, "tp": {...},
-                "penalty": {...}, "layout": ...}
+                "penalty": {...}, "grid_exp": ..., "layout": ...}
 Solution file:  {"x": [...row-major...], "value": v, "gap": g, ...}
+
+An instance file must equal, whole, the instance rebuilt from its recipe.
 """
 
 from __future__ import annotations
@@ -28,15 +30,11 @@ _LAYOUT = "row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)"
 
 def dumps(obj) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
-    return _write(obj)
-
-
-def _write(obj) -> str:
     if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_write(v)}" for k, v in obj.items())
+        inner = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_write(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -58,10 +56,6 @@ def read_json(path):
 
 def load_penalty(path) -> PenaltySpec:
     return spec_from_dict(read_json(path))
-
-
-def save_penalty(path, spec: PenaltySpec) -> None:
-    write_json(path, spec_to_dict(spec))
 
 
 def tp_from_dict(data: dict) -> ThreePartitionInstance:
@@ -107,27 +101,18 @@ def save_instance(path, red: ReductionInstance) -> None:
 
 
 def instance_from_dict(data: dict) -> ReductionInstance:
-    """Rebuild the instance from its description and check the stored matrix.
+    """Rebuild the instance from (tp, penalty, q, lambda, grid_exp) and check it.
 
-    The build is deterministic, so the materialization is reconstructed from
-    (tp, penalty, q, lambda) and verified against the stored A and target;
-    a mismatch means the file was edited or corrupted.
+    The build is deterministic, so any difference between ``data`` and the
+    rebuilt record (A, target, meta, layout, a missing or extra key) means
+    the file was edited or corrupted, and raises ValueError.
     """
-    tp = tp_from_dict(data["tp"])
-    spec = spec_from_dict(data["penalty"])
-    grid_exp = data.get("grid_exp")
     red = build(
-        tp, spec, q=float(data["q"]), lam=float(data["lambda"]),
-        grid_exp=20 if grid_exp is None else int(grid_exp),
+        tp_from_dict(data["tp"]), spec_from_dict(data["penalty"]),
+        q=float(data["q"]), lam=float(data["lambda"]), grid_exp=data["grid_exp"],
     )
-    stored_a = np.asarray(data["A"], dtype=float)
-    stored_t = np.asarray(data["target"], dtype=float)
-    if stored_a.size != red.problem.a_matrix.size or not np.array_equal(
-        stored_a.reshape(red.problem.a_matrix.shape), red.problem.a_matrix
-    ):
-        raise ValueError("stored matrix does not match the rebuilt instance")
-    if not np.array_equal(stored_t, red.problem.target):
-        raise ValueError("stored target does not match the rebuilt instance")
+    if instance_to_dict(red) != data:
+        raise ValueError("stored matrix or metadata does not match the rebuilt instance")
     return red
 
 

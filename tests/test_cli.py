@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from penlq import cli, serde
+from penlq import ReductionInvariantError, cli, serde
 
 
 def run(capsys, *argv):
@@ -278,3 +278,100 @@ def test_decode_bad_solution_is_usage_error(capsys, tmp_path, mcp_file, tp_file,
     sol.write_text('{"x": ' + x + "}")
     code, out, err = run(capsys, "decode", "--in", inst, "--sol", str(sol))
     assert code == 1 and out == "" and "penlq: error" in err
+
+
+def test_certify_rejects_unequal_partition_below_float_gap(capsys, tmp_path):
+    # with gamma = 1e-6 the objective gap of the lopsided certificate is
+    # ~2e-12, below any fixed tolerance; the verdict must come from the sums
+    spec, tp = tmp_path / "mcp.json", tmp_path / "tp.json"
+    spec.write_text('{"family": "mcp", "params": {"gamma": 1e-6, "b": 1.0}}')
+    tp.write_text('{"m": 2, "b": [1, 2, 3, 1, 2, 5]}')
+    inst = str(tmp_path / "inst.json")
+    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", str(spec),
+               "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
+    code, out, _ = run(capsys, "certify", "--in", inst, "--partition", "[[1,2,3],[4,5,6]]")
+    assert code == 3 and json.loads(out)["optimal"] is False
+
+
+@pytest.mark.parametrize("partition", ["[[1.9,2,3],[4,5,6]]", "[[true,2,3],[4,5,6]]"])
+def test_certify_non_integer_indices_are_usage_errors(capsys, tmp_path, mcp_file, tp_file,
+                                                       partition):
+    inst = str(tmp_path / "inst.json")
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", inst)
+    code, out, err = run(capsys, "certify", "--in", inst, "--partition", partition)
+    assert code == 1 and out == "" and "penlq: error" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"family": "mcp", "params": [1, 2]}',
+        '{"family": "mcp", "params": {"gamma": true, "b": 1.0}}',
+        '{"family": "mcp", "params": {"gamma": 1.0, "b": "1.5"}}',
+    ],
+)
+def test_malformed_penalty_params_are_usage_errors(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "penalty", "check", "--spec", str(path))
+    assert code == 1 and out == "" and "penlq: error" in err
+
+
+def test_sum_above_2_53_is_usage_error(capsys, tmp_path, mcp_file):
+    tp = tmp_path / "big.json"
+    tp.write_text(json.dumps({"m": 2, "b": [10**19] * 6}))
+    out_file = tmp_path / "x.json"
+    code, out, err = run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
+                         "--q", "2", "--lambda", "1", "--out", str(out_file))
+    assert code == 1 and out == "" and "2**53" in err
+    assert not out_file.exists()
+
+
+def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch, mcp_file, tp_file):
+    inst, sol = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", inst)
+    run(capsys, "solve", "--in", inst, "--out", sol)
+
+    def broken(red, x):
+        raise ReductionInvariantError("decoded to unequal subset sums")
+
+    monkeypatch.setattr(cli.decode, "decide", broken)
+    code, out, err = run(capsys, "decode", "--in", inst, "--sol", sol)
+    assert code == 4 and out == "" and "invariant violation" in err
+
+
+def _edit_meta(data):
+    data["meta"]["delta"] *= 2
+
+
+def _edit_target(data):
+    data["target"][-1] += 1.0
+
+
+def _drop_grid_exp(data):
+    del data["grid_exp"]
+
+
+def _fractional_grid_exp(data):
+    data["grid_exp"] = 20.9
+
+
+def _extra_key(data):
+    data["note"] = "edited"
+
+
+@pytest.mark.parametrize(
+    "edit", [_edit_meta, _edit_target, _drop_grid_exp, _fractional_grid_exp, _extra_key]
+)
+def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file, edit):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", str(inst))
+    data = json.loads(inst.read_text())
+    edit(data)
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
+    assert code == 1 and out == "" and "penlq: error" in err
+    assert not sol.exists()

@@ -147,3 +147,14 @@ def test_subadditive_bound_property_mcp(values):
 @settings(max_examples=300, deadline=None)
 def test_subadditive_bound_property_l0(values):
     assert subadditive_bound_holds(penlq.l0(), values)
+
+
+def test_classify_spread_split_is_counterexample(monkeypatch, mcp_spec, mcp_analysis):
+    # no builtin family yields a counterexample, so exercise that verdict by
+    # swapping the evaluator for p = 0 (white box): the hypothesis then holds
+    # for every split, and an even split does not concentrate
+    import penlq.conditions as conditions_mod
+
+    monkeypatch.setattr(conditions_mod, "p_eval", lambda spec, t: 0.0 * np.asarray(t, float))
+    verdict = classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, (0.35, 0.35))
+    assert verdict is SplitVerdict.COUNTEREXAMPLE_FOUND

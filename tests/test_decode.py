@@ -153,3 +153,36 @@ def test_decide_raises_on_internal_inconsistency(demo_instance, demo_certificate
     tampered = dataclasses.replace(demo_instance, delta=1e-15)
     with pytest.raises(ReductionInvariantError):
         decide(tampered, noisy)
+
+
+def test_decide_unknown_for_unequal_partition(demo_instance):
+    lopsided = encode_certificate(demo_instance, [[1, 2, 4], [3, 5, 6]])
+    assert decide(demo_instance, lopsided) is None
+
+
+def test_decide_raises_on_unequal_partition_below_threshold(demo_instance):
+    lopsided = encode_certificate(demo_instance, [[1, 2, 4], [3, 5, 6]])
+    tampered = dataclasses.replace(demo_instance, epsilon=1e9)
+    with pytest.raises(ReductionInvariantError, match="unequal subset sums"):
+        decide(tampered, lopsided)
+
+
+def test_decide_accepts_planted_partitions_at_float_resolution(specs):
+    # items of 1e5..1e6 push epsilon ~ (tau0 / 8 sum(b))^2 below the float
+    # resolution of the bound, so F < bound + epsilon often fails even on an
+    # exact certificate; the verdict must still be yes
+    rng = np.random.default_rng(17)
+    below_resolution = 0
+    for _ in range(4):
+        first = [int(v) for v in rng.integers(100_000, 1_000_001, size=3)]
+        second = [int(v) for v in rng.integers(100_000, 400_001, size=2)]
+        tp = ThreePartitionInstance(m=2, b=tuple(first + second + [sum(first) - sum(second)]))
+        for spec in specs.values():
+            for q in (1.0, 2.0):
+                red = build(tp, spec, q=q, lam=1.0)
+                cert = encode_certificate(red, [[1, 2, 3], [4, 5, 6]])
+                if not objective(red, cert) < optimal_bound(red) + red.epsilon:
+                    below_resolution += 1
+                partition = decide(red, cert)
+                assert partition is not None and partition.subsets == ((1, 2, 3), (4, 5, 6))
+    assert below_resolution > 0  # the float edge must actually be exercised

@@ -50,6 +50,9 @@ def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
         {"grid_exp": -1},
         {"grid_exp": 65},
         {"grid_exp": 2000},
+        {"grid_exp": 20.9},
+        {"grid_exp": 20.0},
+        {"grid_exp": True},
     ],
 )
 def test_rationalize_rejects_out_of_range_inputs(mcp_analysis, kwargs):

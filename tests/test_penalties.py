@@ -93,6 +93,9 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: PenaltySpec("mcp", {"gamma": 1.0}),  # missing b
         lambda: PenaltySpec("mcp", {"gamma": 1.0, "b": 1.0, "x": 2.0}),
         lambda: PenaltySpec("nope", {}),
+        lambda: PenaltySpec("mcp", {"gamma": True, "b": 1.0}),  # bool is not a number
+        lambda: PenaltySpec("mcp", {"gamma": 1.0, "b": "1.5"}),  # nor is a string
+        lambda: spec_from_dict({"family": "mcp", "params": [1, 2]}),
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -269,3 +272,8 @@ def test_float_eval_matches_p_eval(name):
 
 def test_float_eval_covers_every_family():
     assert {spec.family for spec in _FLOAT_EVAL_SPECS.values()} == set(penlq.FAMILIES)
+
+
+def test_numpy_numbers_are_accepted_as_params():
+    spec = PenaltySpec("mcp", {"gamma": np.float64(1.0), "b": np.int64(2)})
+    assert spec == penlq.mcp(1.0, 2.0)
