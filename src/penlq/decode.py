@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReductionInvariantError, RoundingFailureError
-from .reduction import ReductionInstance, ThreePartitionInstance, as_solution_matrix, objective, optimal_bound
+from .reduction import (
+    ReductionInstance,
+    ThreePartitionInstance,
+    _checked_subsets,
+    as_solution_matrix,
+    objective,
+    optimal_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -82,17 +89,10 @@ def to_partition(red: ReductionInstance, rounded: RoundedSolution) -> Partition:
 def verify_equitable(tp: ThreePartitionInstance, partition: Partition) -> bool:
     """True iff every subset sums to B; sums are recomputed, not trusted.
 
-    ``partition`` may also be a plain sequence of 1-based index lists.
+    ``partition`` may also be a plain list of 1-based index lists; a
+    partition that does not cover 1..n exactly once raises ValueError.
     """
-    subsets = getattr(partition, "subsets", partition)
-    counts = [0] * (tp.n + 1)
-    for subset in subsets:
-        for item in subset:
-            if not 1 <= item <= tp.n:
-                raise ValueError(f"item index {item} outside 1..{tp.n}")
-            counts[item] += 1
-    if any(c != 1 for c in counts[1:]):
-        raise ValueError("partition must cover every item exactly once")
+    subsets = _checked_subsets(partition, tp.n)
     return all(sum(tp.b[i - 1] for i in subset) == tp.target_sum for subset in subsets)
 
 

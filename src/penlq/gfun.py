@@ -13,11 +13,18 @@ reduction needs from g is computed here:
   of bounded size no matter the downstream instance;
 * :func:`minimize_g` / :func:`delta_bar` - the minimizer, its value, and the
   localization radius;
-* :func:`verify_g_shape` - a sampled certificate of the shape guarantees.
+* :func:`verify_g_shape` - a sampled certificate of the shape guarantees;
+* :func:`full_analysis` - the whole chain, memoized.
+
+None of these constants depends on the 3-partition items: they are fixed by
+(penalty, q, lam, grid_exp) alone, which is what keeps the reduction's
+numbers polynomially bounded.  :func:`full_analysis` therefore computes them
+once per key and hands the same frozen records to every later caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +43,18 @@ def _is_integer(value) -> bool:
 
 
 def _require_q(q: float) -> None:
-    if not 1.0 <= q < math.inf:
+    if isinstance(q, bool) or not 1.0 <= q < math.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q}")
+
+
+def _require_inputs(q: float, lam: float, grid_exp: int) -> None:
+    """Raise ValueError unless q is finite and at least 1, lam is finite and
+    positive, and grid_exp is an integer in 0..64; bools are none of these."""
+    _require_q(q)
+    if isinstance(lam, bool) or not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be a positive finite number, got {lam}")
+    if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
+        raise ValueError(f"grid_exp must be an integer in 0..{_MAX_GRID_EXP}, got {grid_exp!r}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +156,10 @@ def rationalize(
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
     thresholds.  Raises ValueError unless lam is finite and positive, q is
-    finite and at least 1, and grid_exp is an integer (not a bool) in 0..64.
+    finite and at least 1, and grid_exp is an integer in 0..64 (bools are
+    rejected for all three).
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be a positive finite number, got {lam}")
-    _require_q(q)
-    if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
-        raise ValueError(f"grid_exp must be an integer in 0..{_MAX_GRID_EXP}, got {grid_exp!r}")
+    _require_inputs(q, lam, grid_exp)
     if tau_hat is None:
         raise ValueError("rationalize requires the tau_hat anchor")
     if q == 1.0:
@@ -347,7 +361,25 @@ def verify_g_shape(
 def full_analysis(
     spec: PenaltySpec, q: float, lam: float, grid_exp: int = 20
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
-    """Run analyze -> lower_bounds -> rationalize -> minimize_g -> delta_bar."""
+    """Run analyze -> lower_bounds -> rationalize -> minimize_g -> delta_bar.
+
+    The result is memoized on (spec, q, lam, grid_exp) in a bounded
+    least-recently-used cache shared by every caller.  q, lam and grid_exp
+    are validated first, as :func:`rationalize` would (ValueError), and only
+    then looked up.  The key keeps argument types, so 2 and 2.0 are separate
+    entries, exactly as their results differ in type; keyword and positional
+    calls share one entry.  Failures, such as the ConditionViolationError of
+    an inadmissible penalty, are never cached.  The records returned are
+    frozen, so sharing them between callers is safe.
+    """
+    _require_inputs(q, lam, grid_exp)
+    return _full_analysis(spec, q, lam, grid_exp)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _full_analysis(
+    spec: PenaltySpec, q: float, lam: float, grid_exp: int
+) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     analysis = analyze(spec)
     theta_lo, mu_lo = lower_bounds(spec, analysis, q)
     params = rationalize(theta_lo, mu_lo, lam, q, grid_exp=grid_exp, tau_hat=analysis.tau_hat)

@@ -45,7 +45,8 @@ class PenaltySpec:
     """A penalty family plus its validated parameters.
 
     Immutable after construction; invalid parameters raise ``ValueError``
-    immediately rather than surfacing later as nonsense constants.
+    immediately rather than surfacing later as nonsense constants.  Hashable,
+    in agreement with ``==``, so a spec can key a cache.
     """
 
     family: str
@@ -68,13 +69,22 @@ class PenaltySpec:
             value = self.params[name]
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{self.family}: parameter {name} must be a number")
-            if not math.isfinite(value) or not ok(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite or not ok(value):
                 raise ValueError(f"{self.family}: parameter {name}={value} out of range")
         params = {k: float(v) for k, v in self.params.items()}
         if record.joint is not None and not record.joint[1](**params):
             raise ValueError(f"{self.family}: requires {record.joint[0]}")
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_kwargs", params)
+
+    def __hash__(self):
+        # equal specs hold equal float params, in any order; -0.0 and 0.0
+        # compare and hash alike
+        return hash((self.family, frozenset(self._kwargs.items())))
 
 
 def l0() -> PenaltySpec:

@@ -59,7 +59,7 @@ def load_penalty(path) -> PenaltySpec:
 
 
 def tp_from_dict(data: dict) -> ThreePartitionInstance:
-    if "tp" in data:
+    if isinstance(data, dict) and "tp" in data:
         data = data["tp"]
     if not isinstance(data, dict) or "m" not in data or not isinstance(data.get("b"), list):
         raise ValueError("3-partition input must provide 'm' and a list 'b'")
@@ -105,15 +105,32 @@ def instance_from_dict(data: dict) -> ReductionInstance:
 
     The build is deterministic, so any difference between ``data`` and the
     rebuilt record (A, target, meta, layout, a missing or extra key) means
-    the file was edited or corrupted, and raises ValueError.
+    the file was edited or corrupted, and raises ValueError.  So does a
+    record that is not an object, lacks a recipe key, or holds a q or lambda
+    that is not a number.
     """
+    if not isinstance(data, dict):
+        raise ValueError("instance file must be a JSON object")
+    missing = sorted({"tp", "penalty", "q", "lambda", "grid_exp"} - data.keys())
+    if missing:
+        raise ValueError(f"instance file lacks the keys {missing}")
     red = build(
         tp_from_dict(data["tp"]), spec_from_dict(data["penalty"]),
-        q=float(data["q"]), lam=float(data["lambda"]), grid_exp=data["grid_exp"],
+        q=_float(data, "q"), lam=_float(data, "lambda"), grid_exp=data["grid_exp"],
     )
     if instance_to_dict(red) != data:
         raise ValueError("stored matrix or metadata does not match the rebuilt instance")
     return red
+
+
+def _float(data: dict, key: str) -> float:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"instance {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"instance {key!r} is out of range") from None
 
 
 def load_instance(path) -> ReductionInstance:

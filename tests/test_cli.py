@@ -293,7 +293,10 @@ def test_certify_rejects_unequal_partition_below_float_gap(capsys, tmp_path):
     assert code == 3 and json.loads(out)["optimal"] is False
 
 
-@pytest.mark.parametrize("partition", ["[[1.9,2,3],[4,5,6]]", "[[true,2,3],[4,5,6]]"])
+@pytest.mark.parametrize(
+    "partition",
+    ["[[1.9,2,3],[4,5,6]]", "[[true,2,3],[4,5,6]]", "[1,2]", "[[1,2,3],4]", "5"],
+)
 def test_certify_non_integer_indices_are_usage_errors(capsys, tmp_path, mcp_file, tp_file,
                                                        partition):
     inst = str(tmp_path / "inst.json")
@@ -309,6 +312,10 @@ def test_certify_non_integer_indices_are_usage_errors(capsys, tmp_path, mcp_file
         '{"family": "mcp", "params": [1, 2]}',
         '{"family": "mcp", "params": {"gamma": true, "b": 1.0}}',
         '{"family": "mcp", "params": {"gamma": 1.0, "b": "1.5"}}',
+        pytest.param(
+            '{"family": "mcp", "params": {"gamma": 1.0, "b": 1' + "0" * 400 + "}}",
+            id="401-digit-b",
+        ),
     ],
 )
 def test_malformed_penalty_params_are_usage_errors(capsys, tmp_path, spec):
@@ -362,8 +369,24 @@ def _extra_key(data):
     data["note"] = "edited"
 
 
+def _null_q(data):
+    data["q"] = None
+
+
+def _huge_q(data):
+    data["q"] = 10**400
+
+
+def _string_tp(data):
+    data["tp"] = "tp"
+
+
 @pytest.mark.parametrize(
-    "edit", [_edit_meta, _edit_target, _drop_grid_exp, _fractional_grid_exp, _extra_key]
+    "edit",
+    [
+        _edit_meta, _edit_target, _drop_grid_exp, _fractional_grid_exp, _extra_key,
+        _null_q, _huge_q, _string_tp,
+    ],
 )
 def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file, edit):
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
@@ -372,6 +395,15 @@ def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file
     data = json.loads(inst.read_text())
     edit(data)
     inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
+    assert code == 1 and out == "" and "penlq: error" in err
+    assert not sol.exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"tp"'])
+def test_non_object_instance_file_is_usage_error(capsys, tmp_path, text):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(text)
     code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
     assert code == 1 and out == "" and "penlq: error" in err
     assert not sol.exists()

@@ -4,8 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import penlq
-from penlq import GParams, delta_bar, g_eval, lower_bounds, minimize_g, rationalize, verify_g_shape
-from penlq.gfun import full_analysis
+from penlq import (
+    ConditionViolationError,
+    GParams,
+    delta_bar,
+    g_eval,
+    lower_bounds,
+    minimize_g,
+    rationalize,
+    verify_g_shape,
+)
+from penlq.gfun import _full_analysis, full_analysis
+
+from conftest import all_admissible_specs
 
 # Closed-form stationary point of the mcp worked example:
 # g'(t) = 1 + t + 392*(t - 0.7) = 0 on the smooth band.
@@ -53,6 +64,8 @@ def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
         {"grid_exp": 20.9},
         {"grid_exp": 20.0},
         {"grid_exp": True},
+        {"q": True},
+        {"lam": True},
     ],
 )
 def test_rationalize_rejects_out_of_range_inputs(mcp_analysis, kwargs):
@@ -267,3 +280,55 @@ def test_shape_certificate_across_parametrizations(spec, q):
     an, params, _ = full_analysis(spec, q=q, lam=1.0)
     report = verify_g_shape(spec, an, params, n_samples=300)
     assert report.overall, report
+
+
+def test_full_analysis_cache_equals_fresh_computation():
+    uncached = _full_analysis.__wrapped__
+    for spec in all_admissible_specs().values():
+        for q in (1.0, 1.5, 2.0, 3.0):
+            for lam in (0.5, 1.0, 3.0):
+                for grid_exp in (10, 20):
+                    cached = full_analysis(spec, q, lam, grid_exp)
+                    fresh = uncached(spec, q, lam, grid_exp)
+                    assert cached == fresh and repr(cached) == repr(fresh)
+                    # a keyword call finds the entry of the positional one
+                    assert full_analysis(spec, q=q, lam=lam, grid_exp=grid_exp) is cached
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid_exp": True}, {"grid_exp": 20.0}, {"lam": float("nan")}, {"q": float("nan")},
+        {"q": True, "lam": True},
+    ],
+)
+def test_full_analysis_validates_before_lookup(mcp_spec, kwargs):
+    full_analysis(mcp_spec, q=1.0, lam=1.0, grid_exp=1)  # True would hash as 1
+    full_analysis(mcp_spec, q=2.0, lam=1.0, grid_exp=20)
+    with pytest.raises(ValueError):
+        full_analysis(mcp_spec, **{"q": 2.0, "lam": 1.0, "grid_exp": 20, **kwargs})
+
+
+def test_full_analysis_keys_on_spec_value_and_argument_types():
+    first = full_analysis(penlq.mcp(1.0, 1.0), 2.0, 1.0)
+    assert full_analysis(penlq.mcp(1.0, 2.0), 2.0, 1.0) != first
+    assert full_analysis(penlq.PenaltySpec("mcp", {"b": 1, "gamma": 1}), 2.0, 1.0) is first
+    as_int = full_analysis(penlq.mcp(1.0, 1.0), 2, 1)
+    assert type(as_int[1].q) is int
+    assert repr(as_int) == repr(_full_analysis.__wrapped__(penlq.mcp(1.0, 1.0), 2, 1, 20))
+
+
+def test_signed_zero_specs_share_one_entry():
+    plus, minus = penlq.piecewise_linear(1.0, 0.0, 1.0), penlq.piecewise_linear(1.0, -0.0, 1.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    shared = full_analysis(plus, 1.0, 1.0)
+    assert full_analysis(minus, 1.0, 1.0) is shared
+    assert repr(shared) == repr(_full_analysis.__wrapped__(minus, 1.0, 1.0, 20))
+
+
+def test_full_analysis_never_caches_failures():
+    misses = _full_analysis.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(ConditionViolationError):
+            full_analysis(penlq.linear(1.0), 2.0, 1.0)
+    assert _full_analysis.cache_info().misses == misses + 3

@@ -96,6 +96,7 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: PenaltySpec("mcp", {"gamma": True, "b": 1.0}),  # bool is not a number
         lambda: PenaltySpec("mcp", {"gamma": 1.0, "b": "1.5"}),  # nor is a string
         lambda: spec_from_dict({"family": "mcp", "params": [1, 2]}),
+        lambda: penlq.mcp(10**400, 1.0),  # no float holds it
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -240,6 +241,35 @@ def test_spec_json_round_trip(specs):
     for spec in specs.values():
         again = spec_from_dict(spec_to_dict(spec))
         assert again == spec
+
+
+# Few values per parameter, so that equal specs are drawn often; ints and
+# floats, and 0.0 and -0.0, compare equal.
+_PARAM_VALUES = {
+    "l0": {},
+    "bridge": {"p": (0.25, 0.5)},
+    "hard_threshold": {"gamma": (1, 1.0, 2.5)},
+    "scad": {"gamma": (1, 2.0), "a": (3, 3.0, 3.7)},
+    "mcp": {"gamma": (1, 1.0, 2.0), "b": (1, 1.5)},
+    "piecewise_linear": {"k1": (1, 2.0), "k2": (0, 0.0, -0.0, 0.5), "a": (1, 0.5)},
+    "fraction": {"gamma": (1, 2.5)},
+    "log": {"gamma": (1.0, 2.5)},
+}
+
+
+@st.composite
+def _specs(draw, family):
+    names = draw(st.permutations(sorted(_PARAM_VALUES[family])))
+    return PenaltySpec(family, {n: draw(st.sampled_from(_PARAM_VALUES[family][n])) for n in names})
+
+
+@given(st.sampled_from(sorted(_PARAM_VALUES)).flatmap(lambda f: st.tuples(_specs(f), _specs(f))))
+def test_hash_agrees_with_equality(pair):
+    a, b = pair
+    assert (a == b) == (dict(a.params) == dict(b.params))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == (1 if a == b else 2)
 
 
 def test_params_immutable(mcp_spec):

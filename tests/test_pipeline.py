@@ -1,9 +1,11 @@
 """End-to-end sweeps: build -> solve -> decode across families and exponents."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import penlq
-from penlq import ThreePartitionInstance, build, decide, minimize_structured
+from penlq import ThreePartitionInstance, build, decide, minimize_structured, solve
 
 from conftest import all_admissible_specs
 from oracles import three_partition_oracle
@@ -47,3 +49,40 @@ def test_generic_piecewise_linear_end_to_end():
     assert decide(red, result.x) is not None
     red_no = build(TP_NO, spec, q=2.0, lam=1.0)
     assert minimize_structured(red_no).gap >= red_no.epsilon
+
+
+@st.composite
+def _m2_items(draw):
+    """(b, planted): six items in a small band or near float resolution
+    (1e5..1e6), either planted as two equal-sum triples or drawn at random."""
+    lo, hi = draw(st.sampled_from([(1, 20), (100_000, 1_000_000)]))
+    item = st.integers(lo, hi)
+    planted = draw(st.booleans())
+    if planted:
+        first = draw(st.lists(item, min_size=3, max_size=3))
+        second = draw(st.lists(item, min_size=2, max_size=2))
+        b = first + second + [sum(first) - sum(second)]
+        assume(b[-1] > 0)
+    else:
+        b = draw(st.lists(item, min_size=6, max_size=6))
+        b[-1] += sum(b) % 2
+    return tuple(draw(st.permutations(b))), planted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(all_admissible_specs())),
+    q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    lam=st.sampled_from([0.25, 1.0, 4.0]),
+    case=_m2_items(),
+)
+def test_structured_verdict_matches_oracle(name, q, lam, case):
+    b, planted = case
+    yes = three_partition_oracle(2, b)
+    assert yes or not planted
+    red = build(ThreePartitionInstance(m=2, b=b), all_admissible_specs()[name], q=q, lam=lam)
+    partition = decide(red, solve(red, mode="structured").x)
+    assert (partition is not None) == yes
+    if partition is not None:
+        assert sorted(i for subset in partition.subsets for i in subset) == list(range(1, 7))
+        assert all(sum(b[i - 1] for i in subset) == sum(b) // 2 for subset in partition.subsets)
