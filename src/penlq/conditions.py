@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gfun import _is_integer
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
@@ -47,6 +48,11 @@ class ConditionReport:
 _TOL = 1e-12
 
 
+def _require_count(name: str, value: int, floor: int) -> None:
+    if not (_is_integer(value) and value >= floor):
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
 def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     """Verify the admissibility conditions on uniform grids.
 
@@ -54,8 +60,7 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     the certificate is only as fine as the grid.  Deterministic: identical
     inputs produce identical reports.
     """
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
+    _require_count("grid_n", grid_n, 100)
     tau, tau0, _ = band(spec)
 
     # Monotone on [0, 2*tau].
@@ -68,27 +73,16 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
         i = int(drops[0])
         monotone_witness = (float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
 
-    # Midpoint concavity on [0, tau]: p((s+t)/2) >= (p(s)+p(t))/2 for all
-    # grid pairs, evaluated in row chunks to keep memory linear in grid_n.
-    # For l0 the inequality form is used directly (it holds even though the
-    # indicator is discontinuous at 0).
-    cgrid = np.linspace(0.0, tau, grid_n)
-    cvals = p_eval(spec, cgrid)
-    concave_ok = True
-    concave_witness = None
-    worst = 0.0
-    chunk = max(1, (1 << 21) // grid_n)
-    for lo in range(0, grid_n, chunk):
-        s = cgrid[lo : lo + chunk, None]
-        gap = p_eval(spec, 0.5 * (s + cgrid[None, :])) - 0.5 * (
-            cvals[lo : lo + chunk, None] + cvals[None, :]
-        )
-        low = float(np.min(gap))
-        if low < min(worst, -_TOL):
-            concave_ok = False
-            worst = low
-            i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-            concave_witness = (float(cgrid[lo + i]), float(cgrid[j]), low)
+    # Midpoint concavity on [0, tau] in one pass over the half-step grid: no
+    # gap_k = p(x_k) - (p(x_{k-1}) + p(x_{k+1}))/2 below zero makes the samples
+    # concave, hence p((s+t)/2) >= (p(s)+p(t))/2 for every pair of the grid_n
+    # points, whose midpoints all lie on this grid.  l0's jump at 0 passes.
+    hgrid = np.linspace(0.0, tau, 2 * grid_n - 1)
+    hvals = p_eval(spec, hgrid)
+    gap = hvals[1:-1] - 0.5 * (hvals[:-2] + hvals[2:])
+    k = int(np.argmin(gap))
+    concave_ok = not gap[k] < -_TOL
+    concave_witness = None if concave_ok else (float(hgrid[k]), float(hgrid[k + 2]), float(gap[k]))
 
     # Not linear: the c1 margin must be strictly positive.
     c1 = c1_margin(spec, tau0)
@@ -118,21 +112,41 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     )
 
 
+def _subadditive_rows(spec: PenaltySpec, rows: np.ndarray) -> np.ndarray:
+    """Per row t of ``rows``: sum_i p(|t_i|) >= min(p(|sum_i t_i|), p(tau))."""
+    tau, _, _ = band(spec)
+    lhs = np.sum(p_eval(spec, np.abs(rows)), axis=1)
+    rhs = np.minimum(p_eval(spec, np.abs(np.sum(rows, axis=1))), p_eval(spec, tau))
+    return lhs >= rhs - _TOL
+
+
 def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
     """Check sum_i p(|t_i|) >= min(p(|sum_i t_i|), p(tau)) for len >= 2."""
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.ndim != 1 or t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
-    tau, _, _ = band(spec)
-    lhs = float(np.sum(p_eval(spec, np.abs(t_arr))))
-    rhs = min(p_eval(spec, abs(float(np.sum(t_arr)))), p_eval(spec, tau))
-    return lhs >= rhs - _TOL
+    return bool(_subadditive_rows(spec, t_arr[None, :])[0])
 
 
 class SplitVerdict(enum.Enum):
     HYPOTHESIS_FAILS = "hypothesis_fails"
     CONCENTRATED_OK = "concentrated_ok"
     COUNTEREXAMPLE_FOUND = "counterexample_found"
+
+
+_VERDICTS = tuple(SplitVerdict)  # indexed by the codes of _classify_rows
+
+
+def _classify_rows(spec: PenaltySpec, analysis: PenaltyAnalysis, t_tilde, delta, rows):
+    """Verdict code per row of ``rows`` (a split of the matching t_tilde, with
+    its delta): 0, 1, 2 for the members of :class:`SplitVerdict` in order."""
+    t_tilde, delta = np.reshape(t_tilde, (-1, 1)), np.reshape(delta, (-1, 1))
+    penalty_sum = np.sum(p_eval(spec, np.abs(rows)), axis=1, keepdims=True)
+    fails = penalty_sum >= p_eval(spec, t_tilde) + analysis.c1 * delta
+    near_big = np.abs(rows - t_tilde) <= delta
+    near_zero = np.abs(rows) <= delta
+    concentrated = (np.count_nonzero(near_big, axis=1) == 1) & np.all(near_zero | near_big, axis=1)
+    return np.where(fails[:, 0], 0, np.where(concentrated, 1, 2))
 
 
 def classify_split(
@@ -160,15 +174,7 @@ def classify_split(
         raise ValueError("t_list must contain at least two entries")
     if abs(float(np.sum(t_arr)) - t_tilde) > 1e-12:
         raise ValueError("t_list must sum to t_tilde (abs tol 1e-12)")
-
-    penalty_sum = float(np.sum(p_eval(spec, np.abs(t_arr))))
-    if penalty_sum >= p_eval(spec, t_tilde) + analysis.c1 * delta:
-        return SplitVerdict.HYPOTHESIS_FAILS
-    near_big = np.abs(t_arr - t_tilde) <= delta
-    near_zero = np.abs(t_arr) <= delta
-    if np.count_nonzero(near_big) == 1 and bool(np.all(near_zero | near_big)):
-        return SplitVerdict.CONCENTRATED_OK
-    return SplitVerdict.COUNTEREXAMPLE_FOUND
+    return _VERDICTS[_classify_rows(spec, analysis, t_tilde, delta, t_arr.reshape(1, -1))[0]]
 
 
 @dataclass(frozen=True)
@@ -184,20 +190,23 @@ class FuzzReport:
         return self.violations == 0
 
 
+def _length_batches(trials: int):
+    """(length, count) pairs that split ``trials`` over lengths 2..6."""
+    _require_count("trials", trials, 1)
+    lengths = (2, 3, 4, 5, 6)
+    counts = [trials // len(lengths)] * len(lengths)
+    counts[0] += trials - sum(counts)
+    return zip(lengths, counts)
+
+
 def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -> FuzzReport:
     """Random lists (length 2..6, entries uniform in [-2*tau, 2*tau])."""
     tau, _, _ = band(spec)
     rng = np.random.default_rng(seed)
     violations = 0
-    lengths = (2, 3, 4, 5, 6)
-    counts = [trials // len(lengths)] * len(lengths)
-    counts[0] += trials - sum(counts)
-    for length, n_here in zip(lengths, counts):
+    for length, n_here in _length_batches(trials):
         batch = rng.uniform(-2.0 * tau, 2.0 * tau, size=(n_here, length))
-        lhs = np.sum(p_eval(spec, np.abs(batch)), axis=1)
-        sums = np.abs(np.sum(batch, axis=1))
-        rhs = np.minimum(p_eval(spec, sums), p_eval(spec, tau))
-        violations += int(np.count_nonzero(lhs < rhs - _TOL))
+        violations += int(np.count_nonzero(~_subadditive_rows(spec, batch)))
     return FuzzReport(trials=trials, seed=seed, violations=violations)
 
 
@@ -210,42 +219,32 @@ def fuzz_concentration(
     """Random decompositions of random t_tilde; counts verdicts.
 
     Each trial draws an admissible (t_tilde, delta) and splits t_tilde into
-    l in 2..6 parts.  Most trials use normalized positive weights plus
-    zero-sum noise, so dispersed and negative splits occur; a minority are
-    exact spikes (one coordinate carries everything, the rest are zero)
-    which is the only way the penalty sum can stay below the threshold for
-    the l0 indicator.  Any COUNTEREXAMPLE_FOUND verdict is a bug and counts
-    as a violation.
+    l in 2..6 parts; trials come in one batch per length.  Most trials use
+    normalized positive weights plus zero-sum noise, so dispersed and
+    negative splits occur; every 8th row of a batch is an exact spike (one
+    coordinate carries everything, the rest are zero), which is the only
+    way the penalty sum can stay below the threshold for the l0 indicator.
+    Any COUNTEREXAMPLE_FOUND verdict is a bug and counts as a violation.
     """
     if analysis is None:
         analysis = analyze(spec)
     tau0, tau = analysis.tau0, analysis.tau
     rng = np.random.default_rng(seed)
-    hypothesis_fails = concentrated = violations = 0
-    for trial in range(trials):
-        t_tilde = rng.uniform(tau0 + 0.05 * (tau - tau0), tau - 0.05 * (tau - tau0))
-        delta = rng.uniform(0.05, 0.95) * min(tau0 / 3.0, t_tilde - tau0, tau - t_tilde)
-        length = int(rng.integers(2, 7))
-        if trial % 8 == 0:
-            parts = np.zeros(length)
-            parts[int(rng.integers(length))] = t_tilde
-        else:
-            weights = rng.exponential(1.0, size=length)
-            parts = t_tilde * weights / weights.sum()
-            noise = rng.normal(0.0, 0.3 * t_tilde, size=length)
-            parts = parts + noise - noise.mean()
-            parts -= (parts.sum() - t_tilde) / length  # re-center the float sum
-        verdict = classify_split(spec, analysis, t_tilde, delta, parts)
-        if verdict is SplitVerdict.HYPOTHESIS_FAILS:
-            hypothesis_fails += 1
-        elif verdict is SplitVerdict.CONCENTRATED_OK:
-            concentrated += 1
-        else:
-            violations += 1
-    return FuzzReport(
-        trials=trials,
-        seed=seed,
-        violations=violations,
-        hypothesis_fails=hypothesis_fails,
-        concentrated=concentrated,
-    )
+    counts = np.zeros(len(_VERDICTS), dtype=int)
+    for length, n_here in _length_batches(trials):
+        t_tilde = rng.uniform(tau0 + 0.05 * (tau - tau0), tau - 0.05 * (tau - tau0), size=n_here)
+        delta_max = np.minimum(np.minimum(tau0 / 3.0, t_tilde - tau0), tau - t_tilde)
+        delta = rng.uniform(0.05, 0.95, size=n_here) * delta_max
+        weights = rng.exponential(1.0, size=(n_here, length))
+        parts = t_tilde[:, None] * weights / weights.sum(axis=1, keepdims=True)
+        noise = rng.normal(0.0, 0.3, size=(n_here, length)) * t_tilde[:, None]
+        parts += noise - noise.mean(axis=1, keepdims=True)
+        parts -= (parts.sum(axis=1, keepdims=True) - t_tilde[:, None]) / length  # re-center
+        spikes = np.arange(0, n_here, 8)
+        parts[spikes] = 0.0
+        parts[spikes, rng.integers(length, size=spikes.size)] = t_tilde[spikes]
+        codes = _classify_rows(spec, analysis, t_tilde, delta, parts)
+        counts += np.bincount(codes, minlength=counts.size)
+    fails, concentrated, violations = counts.tolist()
+    return FuzzReport(trials=trials, seed=seed, violations=violations,
+                      hypothesis_fails=fails, concentrated=concentrated)

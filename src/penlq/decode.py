@@ -109,7 +109,7 @@ def decide(red: ReductionInstance, x) -> Partition | None:
     except RoundingFailureError as exc:
         failure = f"failed to round: {exc}"
     else:
-        if verify_equitable(red.tp, partition):
+        if all(total == red.tp.target_sum for total in partition.subset_sums):
             return partition
         failure = f"decoded to unequal subset sums {partition.subset_sums}"
     value = objective(red, x)

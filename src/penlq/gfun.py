@@ -42,17 +42,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _require_q(q: float) -> None:
-    if isinstance(q, bool) or not 1.0 <= q < math.inf:
-        raise ValueError(f"q must be a finite number >= 1, got {q}")
+    if not (_is_real(q) and 1.0 <= q < math.inf):
+        raise ValueError(f"q must be a finite number >= 1, got {q!r}")
+
+
+def _require_lam(lam: float) -> None:
+    if not (_is_real(lam) and 0.0 < lam < math.inf):
+        raise ValueError(f"lam must be a positive finite number, got {lam!r}")
 
 
 def _require_inputs(q: float, lam: float, grid_exp: int) -> None:
     """Raise ValueError unless q is finite and at least 1, lam is finite and
-    positive, and grid_exp is an integer in 0..64; bools are none of these."""
+    positive, and grid_exp is an integer in 0..64; bools and strings are none
+    of these."""
     _require_q(q)
-    if isinstance(lam, bool) or not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be a positive finite number, got {lam}")
+    _require_lam(lam)
     if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
         raise ValueError(f"grid_exp must be an integer in 0..{_MAX_GRID_EXP}, got {grid_exp!r}")
 

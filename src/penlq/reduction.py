@@ -21,12 +21,11 @@ item).  Solution matrices are (n, m) arrays in the same layout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gfun import GAnalysis, GParams, _is_integer, full_analysis
+from .gfun import GAnalysis, GParams, _is_integer, _require_lam, _require_q, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
 
@@ -67,7 +66,11 @@ class ThreePartitionInstance:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A concrete instance of min_x ||A x - target||_q^q + lam * sum_j p(|x_j|)."""
+    """A concrete instance of min_x ||A x - target||_q^q + lam * sum_j p(|x_j|).
+
+    A and target must be finite, and q and lam obey the rules of
+    :func:`penlq.gfun.rationalize`; anything else raises ValueError.
+    """
 
     a_matrix: np.ndarray
     target: np.ndarray
@@ -80,8 +83,10 @@ class ProblemInstance:
         t = np.ascontiguousarray(np.asarray(self.target, dtype=float))
         if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
             raise ValueError("A must be 2-d with one target entry per row")
-        if not (0.0 < self.lam < math.inf and 1.0 <= self.q < math.inf):
-            raise ValueError("require finite lam > 0 and finite q >= 1")
+        if not (np.isfinite(a).all() and np.isfinite(t).all()):
+            raise ValueError("A and target must be finite")
+        _require_q(self.q)
+        _require_lam(self.lam)
         a.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)

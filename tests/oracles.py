@@ -3,8 +3,10 @@
 Nothing here calls into the solver or decoder paths it is used to check:
 the 3-partition oracle is a plain bin-completion backtracker, the
 structured-minimum oracle a pure-Python loop over every assignment, the
-objective oracle evaluates the four-block sum term by term, and the
-derivative oracles are central finite differences.
+objective oracle evaluates the four-block sum term by term, the
+derivative oracles are central finite differences, and the condition
+references test midpoint concavity pair by pair and classify one split at a
+time.
 """
 
 from __future__ import annotations
@@ -87,6 +89,31 @@ def central_d1(spec, t, h=1e-6):
 def central_d2(spec, t, h=1e-6):
     """Second derivative of p by central differences of p_d1."""
     return (p_d1(spec, t + h) - p_d1(spec, t - h)) / (2.0 * h)
+
+
+def concave_by_all_pairs(p, tau: float, grid_n: int, tol: float = 1e-12) -> bool:
+    """p((s+t)/2) >= (p(s)+p(t))/2 - tol for every pair s, t of the grid_n
+    points of [0, tau]; ``p`` maps an array of t >= 0 to p(t)."""
+    grid = np.linspace(0.0, tau, grid_n)
+    vals = p(grid)
+    gap = p(0.5 * (grid[:, None] + grid[None, :])) - 0.5 * (vals[:, None] + vals[None, :])
+    return not float(np.min(gap)) < -tol
+
+
+def classify_split_by_rule(p, c1: float, t_tilde: float, delta: float, parts) -> str:
+    """The concentration verdict for one split of t_tilde, as a
+    :class:`penlq.SplitVerdict` value: "hypothesis_fails" when the penalty
+    sum reaches p(t_tilde) + c1*delta, else "concentrated_ok" when exactly
+    one part lies within delta of t_tilde and the rest within delta of 0,
+    else "counterexample_found"."""
+    parts = np.asarray(parts, dtype=float)
+    if float(np.sum(p(np.abs(parts)))) >= float(p(np.asarray(t_tilde))) + c1 * delta:
+        return "hypothesis_fails"
+    near_big = [abs(v - t_tilde) <= delta for v in parts]
+    near_zero = [abs(v) <= delta for v in parts]
+    if sum(near_big) == 1 and all(b or z for b, z in zip(near_big, near_zero)):
+        return "concentrated_ok"
+    return "counterexample_found"
 
 
 # Curated desk-scale instances, labeled by three_partition_oracle (the

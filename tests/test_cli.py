@@ -59,6 +59,12 @@ def test_penalty_fuzz_rejects_linear(capsys, linear_file):
     assert code == 2 and "condition violation" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_penalty_fuzz_requires_positive_trials(capsys, mcp_file, trials):
+    code, out, err = run(capsys, "penalty", "fuzz", "--spec", mcp_file, "--trials", trials)
+    assert code == 1 and out == "" and "trials must be an integer >= 1" in err
+
+
 def test_gfun_analyze_contract_keys(capsys, mcp_file):
     code, out, _ = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", "2",
                        "--lambda", "1")

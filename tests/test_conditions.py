@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 import penlq
 from penlq import SplitVerdict, check_conditions, classify_split, subadditive_bound_holds
 
+from conftest import all_admissible_specs
+from oracles import classify_split_by_rule, concave_by_all_pairs
+from penlq.penalties import band
+
 
 def test_mcp_passes_all_checks(mcp_spec):
     report = check_conditions(mcp_spec, grid_n=1000)
@@ -53,8 +57,9 @@ def test_overall_is_conjunction(mcp_spec):
 
 
 def test_grid_floor_enforced(mcp_spec):
-    with pytest.raises(ValueError):
-        check_conditions(mcp_spec, grid_n=99)
+    for grid_n in (99, 150.5, 1000.0, True, "150", None):
+        with pytest.raises(ValueError, match="grid_n"):
+            check_conditions(mcp_spec, grid_n=grid_n)
 
 
 def test_check_is_deterministic(mcp_spec):
@@ -158,3 +163,100 @@ def test_classify_spread_split_is_counterexample(monkeypatch, mcp_spec, mcp_anal
     monkeypatch.setattr(conditions_mod, "p_eval", lambda spec, t: 0.0 * np.asarray(t, float))
     verdict = classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, (0.35, 0.35))
     assert verdict is SplitVerdict.COUNTEREXAMPLE_FOUND
+
+
+REFERENCE_SPECS = {
+    **all_admissible_specs(),
+    "linear": penlq.linear(1.0),
+    "mcp_wide": penlq.mcp(1e6, 3.0),
+    "scad_narrow": penlq.scad(1e-3, 2.5),
+    "bridge_steep": penlq.bridge(0.01),
+    "linear_decreasing": penlq.linear(-1.0),
+}
+
+
+@pytest.mark.parametrize("grid_n", [100, 300, 1000])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_concave_verdict_matches_all_pairs_scan(name, grid_n):
+    spec = REFERENCE_SPECS[name]
+    tau = band(spec)[0]
+    expected = concave_by_all_pairs(lambda t: penlq.p_eval(spec, t), tau, grid_n)
+    assert check_conditions(spec, grid_n=grid_n).concave_ok == expected
+
+
+@pytest.mark.parametrize("p", [lambda t: np.asarray(t, float) ** 2,
+                               lambda t: 0.0 * np.asarray(t, float)], ids=["square", "zero"])
+def test_concave_verdict_matches_all_pairs_scan_white_box(monkeypatch, mcp_spec, p):
+    import penlq.conditions as conditions_mod
+
+    monkeypatch.setattr(conditions_mod, "p_eval", lambda spec, t: p(t))
+    for grid_n in (100, 300):
+        expected = concave_by_all_pairs(p, band(mcp_spec)[0], grid_n)
+        assert check_conditions(mcp_spec, grid_n=grid_n).concave_ok == expected
+
+
+def _random_splits(analysis, rng, n):
+    """n random (t_tilde, delta, parts) draws of one length: exact spikes,
+    near-spikes and dispersed splits, so both sides of every threshold occur."""
+    tau0, tau = analysis.tau0, analysis.tau
+    t_tilde = rng.uniform(tau0, tau, size=n)
+    delta_max = np.minimum(np.minimum(tau0 / 3.0, t_tilde - tau0), tau - t_tilde)
+    delta = rng.uniform(0.01, 0.99, size=n) * delta_max
+    length = int(rng.integers(2, 7))
+    spread = delta * rng.choice([0.0, 0.1, 1.0, 10.0], size=n)
+    parts = rng.normal(0.0, 1.0, size=(n, length)) * spread[:, None]
+    parts[:, 0] += t_tilde - parts.sum(axis=1)
+    return t_tilde, delta, parts
+
+
+@pytest.mark.parametrize("name", sorted(all_admissible_specs()) + ["zero_white_box"])
+def test_batch_classifier_matches_per_split_rule(monkeypatch, name):
+    import penlq.conditions as conditions_mod
+
+    if name == "zero_white_box":  # p = 0: every split meets the hypothesis
+        spec = penlq.mcp(1.0, 1.0)
+        monkeypatch.setattr(conditions_mod, "p_eval", lambda spec, t: 0.0 * np.asarray(t, float))
+    else:
+        spec = all_admissible_specs()[name]
+    analysis = penlq.analyze(spec)
+    p = lambda t: conditions_mod.p_eval(spec, t)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(20):
+        t_tilde, delta, parts = _random_splits(analysis, rng, 60)
+        codes = conditions_mod._classify_rows(spec, analysis, t_tilde, delta, parts)
+        for code, t, d, row in zip(codes, t_tilde, delta, parts):
+            verdict = SplitVerdict(classify_split_by_rule(p, analysis.c1, t, d, row))
+            assert conditions_mod._VERDICTS[code] is verdict
+            seen.add(verdict)
+    assert len(seen) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(all_admissible_specs()))
+def test_fuzz_concentration_finds_no_counterexample(name):
+    spec = all_admissible_specs()[name]
+    for seed in range(5):
+        report = penlq.fuzz_concentration(spec, seed=seed)
+        assert report.ok and report.hypothesis_fails + report.concentrated == report.trials
+
+
+def test_fuzzers_run_where_float_sums_are_inexact():
+    # t_tilde ~ 7e5: a split's float sum misses t_tilde by more than 1e-12
+    spec = penlq.mcp(1e6, 3.0)
+    assert penlq.fuzz_concentration(spec, trials=2000, seed=1).ok
+    assert penlq.fuzz_subadditivity(spec, trials=2000, seed=1).ok
+
+
+@pytest.mark.parametrize("trials", [0, -5, True, 2.5, "10", None])
+def test_fuzzers_require_a_positive_integer_trial_count(mcp_spec, trials):
+    with pytest.raises(ValueError, match="trials"):
+        penlq.fuzz_subadditivity(mcp_spec, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        penlq.fuzz_concentration(mcp_spec, trials=trials)
+
+
+def test_fuzzers_accept_fewer_trials_than_lengths(mcp_spec):
+    for trials in (1, 4, np.int64(7)):
+        assert penlq.fuzz_subadditivity(mcp_spec, trials=trials).trials == trials
+        report = penlq.fuzz_concentration(mcp_spec, trials=trials)
+        assert report.ok and report.hypothesis_fails + report.concentrated == trials

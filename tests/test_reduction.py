@@ -132,11 +132,22 @@ def test_objective_never_below_bound(demo_instance):
 
 @pytest.mark.parametrize(
     "lam, q", [(0.0, 2.0), (float("inf"), 2.0), (float("nan"), 2.0), (1.0, 0.5),
-               (1.0, float("inf")), (1.0, float("nan"))],
+               (1.0, float("inf")), (1.0, float("nan")), (True, 2.0), (1.0, True),
+               (True, True), ("1", 2.0), (1.0, "2"), (None, 2.0)],
 )
 def test_problem_instance_requires_finite_lam_and_q(mcp_spec, lam, q):
     with pytest.raises(ValueError, match="finite"):
         penlq.ProblemInstance(np.eye(2), np.zeros(2), lam, q, mcp_spec)
+
+
+@pytest.mark.parametrize(
+    "a, target",
+    [(np.eye(2), [float("nan"), 0.0]), ([[float("inf"), 0.0], [0.0, 1.0]], [0.0, 0.0]),
+     ([[1.0, float("nan")], [0.0, 1.0]], [0.0, 0.0]), (np.eye(2), [0.0, -float("inf")])],
+)
+def test_problem_instance_requires_finite_matrix_and_target(mcp_spec, a, target):
+    with pytest.raises(ValueError, match="finite"):
+        penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
 
 
 def test_objective_dimension_mismatch(demo_instance):
