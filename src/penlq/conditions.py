@@ -172,7 +172,7 @@ def classify_split(
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
-    if abs(float(np.sum(t_arr)) - t_tilde) > 1e-12:
+    if not abs(float(np.sum(t_arr)) - t_tilde) <= 1e-12:  # also rejects NaN
         raise ValueError("t_list must sum to t_tilde (abs tol 1e-12)")
     return _VERDICTS[_classify_rows(spec, analysis, t_tilde, delta, t_arr.reshape(1, -1))[0]]
 

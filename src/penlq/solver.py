@@ -2,27 +2,32 @@
 
 :func:`minimize_structured` enumerates the certificate-shaped family
 exhaustively: every assignment of items to subsets, with x_ij = t_star on
-the chosen subset and 0 elsewhere, scored in one vectorized numpy pass.
-Since n = 3m, the 10**7 size guard admits m <= 3 only, i.e. at most 3**9
-assignments, so the pass is serial and small.  For instances built from a 3-partition
-with an equal-sum partition this family contains a global optimum, so the
-enumerator is exact there; on other instances it upper-bounds the optimum
-over the structured family only.  :func:`local_descent` is a generic
-derivative-free polisher (the penalties have kinks and the l0 indicator is
-discontinuous, so one-dimensional golden-section restrictions are used
-instead of gradients).
+the chosen subset and 0 elsewhere, scored in one vectorized numpy pass over
+a cached table of all assignments.  Since n = 3m, the 10**7 size guard
+admits m <= 3 only, i.e. at most 3**9 assignments, so the pass is serial
+and small.  For instances built from a 3-partition with an equal-sum
+partition this family contains a global optimum, so the enumerator is exact
+there; on other instances it upper-bounds the optimum over the structured
+family only.  :func:`local_descent` is a generic derivative-free polisher
+(the penalties have kinks and the l0 indicator is discontinuous, so it
+minimizes one-dimensional restrictions instead of following gradients).
+Where the restriction's shape is known from q and the penalty family it
+takes the best of a few candidate points; elsewhere it uses golden section.
+:func:`solve` polishes only solutions that are not already certified
+optimal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SizeGuardError
 from .gfun import _golden_min
-from .penalties import _float_eval
+from .penalties import _REGISTRY, _float_eval, kink_points
 from .reduction import ProblemInstance, ReductionInstance, objective, optimal_bound
 
 _MAX_ASSIGNMENTS = 10**7
@@ -35,6 +40,18 @@ class SolveResult:
     gap: float  # value - optimal_bound
     assignments_explored: int
     seed: int
+
+
+@functools.lru_cache(maxsize=8)
+def _assignment_digits(n: int, m: int) -> np.ndarray:
+    """Read-only (m**n, n) int8 table: row k holds the base-m digits of k,
+    little-endian, so digit i is the subset of item i in assignment k.
+    Instances of one shape share it; n = 3m and the size guard keep m <= 3."""
+    powers = m ** np.arange(n, dtype=np.int64)
+    digits = (np.arange(m**n, dtype=np.int64)[:, None] // powers[None, :]) % m
+    digits = digits.astype(np.int8)
+    digits.setflags(write=False)
+    return digits
 
 
 def minimize_structured(red: ReductionInstance) -> SolveResult:
@@ -55,11 +72,10 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
             f"m**n = {total} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
         )
     b = np.asarray(red.tp.b, dtype=np.int64)
-    powers = m ** np.arange(n, dtype=np.int64)
-    digits = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % m
+    digits = _assignment_digits(n, m)
     sums = np.empty((total, m))
     for j in range(m):
-        sums[:, j] = ((digits == j) * b).sum(axis=1)
+        sums[:, j] = (digits == j) @ b  # exact: int64 sums of at most 2**53
     imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** red.problem.q, axis=1)
     best = int(np.argmin(imbalance))  # the first minimum: smallest index
 
@@ -92,6 +108,69 @@ def _restriction(r, rows, vals, xk: float, q: float, lam: float, pen):
     return phi
 
 
+def _piecewise_min(phi, lo: float, hi: float, cuts, fit: bool) -> tuple[float, float]:
+    """Best candidate v in [lo, hi] for phi, with phi(v).
+
+    ``cuts`` split [lo, hi] into pieces (cut points outside it are ignored).
+    With fit False phi must be concave on every piece, so its minimum sits
+    at a piece end and the ends are the candidates.  With fit True phi must
+    be a quadratic on the interior of every piece: each piece adds its
+    vertex, fitted through three interior points, when that quadratic is
+    convex and the vertex lies inside the piece.  Only interior points enter
+    the fit, so a jump of phi at a cut (l0 at 0) cannot distort it.  Ties
+    keep the leftmost candidate.
+    """
+    ends = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+    best, best_value = lo, phi(lo)
+    for left, right in zip(ends, ends[1:]):
+        candidates = [right]
+        if fit:
+            h = 0.25 * (right - left)
+            mid = left + 2.0 * h
+            f_left, f_mid, f_right = phi(mid - h), phi(mid), phi(mid + h)
+            curvature = f_left - 2.0 * f_mid + f_right
+            if curvature > 0.0:
+                vertex = mid - h * (f_right - f_left) / (2.0 * curvature)
+                if left < vertex < right:
+                    candidates.insert(0, vertex)
+        for v in candidates:
+            value = phi(v)
+            if value < best_value:
+                best, best_value = v, value
+    return best, best_value
+
+
+def _line_search(q: float, penalty):
+    """The line search for phi_k, chosen from q and the penalty family alone.
+
+    Returns search(phi, x_k, step, r, rows, vals) -> (v, phi(v)) with v in
+    [x_k - step, x_k + step]:
+
+    - q = 1: p(|v|) is concave on each side of 0 and each |r_i + (v - x_k)
+      a_ik| is linear on each side of its zero, so phi_k is concave between
+      0 and the residual zeros x_k - r_i/a_ik; the best piece end wins.
+    - q = 2 and p quadratic between its kinks (l0, hard_threshold, scad,
+      mcp, piecewise_linear, linear): phi_k is a quadratic between 0 and the
+      kinks +-kappa; the best piece end or fitted vertex wins.
+    - otherwise: golden section down to width 1e-10.
+    """
+    if q == 1:
+        def search(phi, xk, step, r, rows, vals):
+            zeros = [xk - r[i] / a for i, a in zip(rows, vals)]
+            return _piecewise_min(phi, xk - step, xk + step, [0.0, *zeros], fit=False)
+    elif q == 2 and _REGISTRY[penalty.family].quadratic:
+        kinks = kink_points(penalty)
+        cuts = [0.0, *kinks, *(-kappa for kappa in kinks)]
+
+        def search(phi, xk, step, r, rows, vals):
+            return _piecewise_min(phi, xk - step, xk + step, cuts, fit=True)
+    else:
+        def search(phi, xk, step, r, rows, vals):
+            v = _golden_min(phi, xk - step, xk + step, 1e-10)
+            return v, phi(v)
+    return search
+
+
 def local_descent(
     problem: ProblemInstance,
     x0,
@@ -99,20 +178,23 @@ def local_descent(
     max_iters: int = 50,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Coordinate-wise descent with golden-section line searches.
+    """Coordinate-wise descent with line searches chosen by the restriction's shape.
 
     Each sweep minimizes, coordinate by coordinate, the one-dimensional
-    restriction of the objective over the trust interval
-    [x_k - step, x_k + step] (golden section down to width 1e-10).  The
-    residuals r = A x - target are cached as floats and recomputed from
-    scratch at the start of every sweep, so a trial point costs only the
-    nonzero rows of column k plus one penalty term (:func:`_restriction`);
-    a move is taken only if it lowers that restriction, and then updates
-    just those residuals.  Once per sweep the full objective is evaluated:
-    a sweep that raised it (by rounding) is undone, so the objective is
-    non-increasing, and descent stops once a sweep improves by less than
-    tol.  Raises ValueError for a non-finite x0, a step that is not a
-    positive finite number, or max_iters < 0.
+    restriction phi_k of the objective over the trust interval
+    [x_k - step, x_k + step].  At q = 1, and at q = 2 for a penalty that
+    is quadratic between its kinks, phi_k is concave or quadratic between
+    known cut points, and the best of a few candidate points is taken;
+    every other (q, family) pair uses golden section down to width 1e-10
+    (:func:`_line_search`).  The residuals r = A x - target are cached as
+    floats and recomputed from scratch at the start of every sweep, so a
+    trial point costs only the nonzero rows of column k plus one penalty
+    term (:func:`_restriction`); a move is taken only if it lowers that
+    restriction, and then updates just those residuals.  Once per sweep
+    the full objective is evaluated: a sweep that raised it (by rounding)
+    is undone, so the objective is non-increasing, and descent stops once
+    a sweep improves by less than tol.  Raises ValueError for a non-finite
+    x0, a step that is not a positive finite number, or max_iters < 0.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != problem.cols:
@@ -131,6 +213,7 @@ def local_descent(
         columns.append((rows.tolist(), a[rows, k].tolist()))
     q, lam = problem.q, problem.lam
     pen = _float_eval(problem.penalty)
+    search = _line_search(q, problem.penalty)
 
     xs = x.tolist()
     current = problem.objective(x)
@@ -140,8 +223,8 @@ def local_descent(
         for k, (rows, vals) in enumerate(columns):
             xk = xs[k]
             phi = _restriction(r, rows, vals, xk, q, lam, pen)
-            candidate = _golden_min(phi, xk - step, xk + step, 1e-10)
-            if phi(candidate) < phi(xk):
+            candidate, value = search(phi, xk, step, r, rows, vals)
+            if value < phi(xk):
                 shift = candidate - xk
                 for i, v in zip(rows, vals):
                     r[i] += shift * v
@@ -154,6 +237,16 @@ def local_descent(
     return np.array(xs)
 
 
+def _equal_sums(red: ReductionInstance, x: np.ndarray) -> bool:
+    """Whether the certificate-shaped x (t_star once per item row) gives
+    every subset the same integer item sum: the exact test for an equal-sum
+    certificate."""
+    sums = [0] * red.m
+    for item, subset in zip(red.tp.b, np.argmax(x, axis=1).tolist()):
+        sums[subset] += item
+    return len(set(sums)) == 1
+
+
 def solve(
     red: ReductionInstance,
     mode: str = "structured",
@@ -163,10 +256,14 @@ def solve(
     """Structured enumeration, optionally polished by local descent.
 
     mode "structured" returns :func:`minimize_structured` unchanged.  mode
-    "hybrid" additionally runs ``restarts`` descent passes: the first from
-    the best structured solution, the rest from seeded perturbations of it;
-    the returned value is never worse than the structured one.  Reproducible
-    for a fixed seed; structured mode is seed-independent.
+    "hybrid" returns it too, with ``seed`` echoed, when its solution is an
+    equal-sum certificate (decided on the exact integer subset sums): by the
+    reduction's forward direction that certificate attains the global bound
+    n*lam*h, so descent could move F by rounding only.  Otherwise hybrid
+    runs ``restarts`` descent passes: the first from the best structured
+    solution, the rest from seeded perturbations of it; the returned value
+    is never worse than the structured one.  Reproducible for a fixed seed;
+    structured mode is seed-independent.
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -175,6 +272,8 @@ def solve(
     base = minimize_structured(red)
     if mode == "structured" or restarts == 0:
         return base
+    if _equal_sums(red, base.x):
+        return replace(base, seed=seed)
 
     rng = np.random.default_rng(seed)
     best_x, best_val = base.x, base.value

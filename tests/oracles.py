@@ -3,6 +3,8 @@
 Nothing here calls into the solver or decoder paths it is used to check:
 the 3-partition oracle is a plain bin-completion backtracker, the
 structured-minimum oracle a pure-Python loop over every assignment, the
+uncached structured formula a copy of the enumerator as it stood before its
+assignment table was cached, the
 objective oracle evaluates the four-block sum term by term, the
 derivative oracles are central finite differences, and the condition
 references test midpoint concavity pair by pair and classify one split at a
@@ -63,6 +65,25 @@ def structured_minimum(m: int, b, q: float) -> tuple[int, ...]:
         if best_value is None or value < best_value:
             best, best_value = digits[::-1], value
     return best
+
+
+def structured_x_uncached(red) -> np.ndarray:
+    """The structured minimizer x by the enumerator's vectorized formula,
+    rebuilding the assignment digits on every call and summing items with
+    an elementwise product: the reference for the cached table."""
+    n, m = red.n, red.m
+    total = m**n
+    b = np.asarray(red.tp.b, dtype=np.int64)
+    powers = m ** np.arange(n, dtype=np.int64)
+    digits = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % m
+    sums = np.empty((total, m))
+    for j in range(m):
+        sums[:, j] = ((digits == j) * b).sum(axis=1)
+    imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** red.problem.q, axis=1)
+    best = int(np.argmin(imbalance))
+    x = np.zeros((n, m))
+    x[np.arange(n), digits[best]] = red.t_star
+    return x
 
 
 def objective_by_blocks(red, x) -> float:

@@ -84,6 +84,14 @@ def test_subadditive_bound_arity():
         subadditive_bound_holds(penlq.l0(), (0.5,))
 
 
+def test_nan_entries_rejected(mcp_spec, mcp_analysis):
+    # both used to answer: True and HYPOTHESIS_FAILS
+    with pytest.raises(ValueError):
+        subadditive_bound_holds(mcp_spec, [float("nan"), 0.3])
+    with pytest.raises(ValueError):
+        classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, [float("nan"), float("nan")])
+
+
 def test_classify_spike_is_concentrated(specs):
     for spec in specs.values():
         an = penlq.analyze(spec)

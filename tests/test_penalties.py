@@ -15,7 +15,13 @@ from penlq import (
     p_d2,
     p_eval,
 )
-from penlq.penalties import _float_eval, sampled_k_bound, spec_from_dict, spec_to_dict
+from penlq.penalties import (
+    _REGISTRY,
+    _float_eval,
+    sampled_k_bound,
+    spec_from_dict,
+    spec_to_dict,
+)
 
 from conftest import all_admissible_specs
 from oracles import central_d1, central_d2
@@ -43,6 +49,16 @@ def test_mcp_value_matches_quadrature(mcp_spec):
 def test_negative_t_rejected(mcp_spec):
     with pytest.raises(ValueError):
         p_eval(mcp_spec, -0.1)
+
+
+@pytest.mark.parametrize("family", penlq.FAMILIES)
+def test_nan_t_rejected(family):
+    # NaN fails every comparison, so a test for t < 0 alone let it through
+    # (mcp gave 0.5, scad 2.0, l0 0.0)
+    spec = _FLOAT_EVAL_SPECS[family]
+    for t in (float("nan"), [0.3, float("nan")], np.array([[np.nan]])):
+        with pytest.raises(ValueError):
+            p_eval(spec, t)
 
 
 def test_scad_derivative_plateau_and_taper():
@@ -307,3 +323,23 @@ def test_float_eval_covers_every_family():
 def test_numpy_numbers_are_accepted_as_params():
     spec = PenaltySpec("mcp", {"gamma": np.float64(1.0), "b": np.int64(2)})
     assert spec == penlq.mcp(1.0, 2.0)
+
+
+def _d2_constant_between_kinks(spec) -> bool:
+    """Whether p'' takes one value on each piece between consecutive kinks
+    of (0, inf), sampled at interior points; the last piece runs to 10
+    beyond the last kink."""
+    ends = [0.0, *kink_points(spec)]
+    ends.append(ends[-1] + 10.0)
+    for left, right in zip(ends, ends[1:]):
+        d2 = p_d2(spec, np.linspace(left, right, 41)[1:-1])
+        if np.ptp(d2) != 0.0:
+            return False
+    return True
+
+
+def test_quadratic_flag_marks_constant_curvature_between_kinks():
+    for name, spec in _FLOAT_EVAL_SPECS.items():
+        assert _REGISTRY[spec.family].quadratic == _d2_constant_between_kinks(spec), name
+    flagged = {family for family, record in _REGISTRY.items() if record.quadratic}
+    assert flagged == {"l0", "hard_threshold", "scad", "mcp", "piecewise_linear", "linear"}

@@ -15,13 +15,20 @@ from penlq import (
     optimal_bound,
     solve,
 )
+from penlq import solver
 from penlq.gfun import _golden_min
-from penlq.penalties import _float_eval
+from penlq.penalties import _REGISTRY, _float_eval
 from penlq.reduction import ProblemInstance
-from penlq.solver import _restriction
+from penlq.solver import _assignment_digits, _line_search, _restriction
 
 from conftest import all_admissible_specs
-from oracles import NO_INSTANCES, YES_INSTANCES, structured_minimum, three_partition_oracle
+from oracles import (
+    NO_INSTANCES,
+    YES_INSTANCES,
+    structured_minimum,
+    structured_x_uncached,
+    three_partition_oracle,
+)
 
 
 def test_structured_attains_bound_on_yes(demo_instance):
@@ -279,3 +286,133 @@ def test_one_sweep_matches_uncached_reference(mcp_spec, b):
         # golden section on phi_k and on F can part ways where the two agree
         # only to rounding, near a minimizer; 1e-6 is far above that
         assert np.max(np.abs(cached - _reference_sweep(red.problem, x0, 0.1))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Line search by the restriction's shape
+# ---------------------------------------------------------------------------
+
+_LINE_SEARCH_SPECS = {
+    **all_admissible_specs(),
+    "linear": penlq.linear(1.5),
+    "scad_wide": penlq.scad(0.5, 3.7),
+    "mcp_wide": penlq.mcp(2.0, 1.5),
+}
+_SHAPED = [
+    (name, q)
+    for name, spec in sorted(_LINE_SEARCH_SPECS.items())
+    for q in (1.0, 2.0)
+    if q == 1.0 or _REGISTRY[spec.family].quadratic
+]
+
+
+@pytest.mark.parametrize(("name", "q"), _SHAPED)
+def test_shaped_line_search_finds_the_interval_minimum(name, q):
+    spec = _LINE_SEARCH_SPECS[name]
+    pen = _float_eval(spec)
+    search = _line_search(q, spec)
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        rows = int(rng.integers(1, 5))
+        r = rng.uniform(-2.0, 2.0, size=rows).tolist()
+        vals = (rng.uniform(0.2, 3.0, size=rows) * rng.choice([-1.0, 1.0], size=rows)).tolist()
+        # every third case puts 0 or a kink inside the trust interval
+        xk = float(rng.uniform(-2.5, 2.5)) if trial % 3 else float(rng.uniform(-0.3, 0.3))
+        step = float(rng.choice([1e-3, 0.05, 0.4, 1.5]))
+        lam = float(rng.uniform(0.1, 5.0))
+        phi = _restriction(r, list(range(rows)), vals, xk, q, lam, pen)
+        v, value = search(phi, xk, step, r, list(range(rows)), vals)
+        assert xk - step <= v <= xk + step
+        assert value == phi(v)
+        grid = min(phi(t) for t in np.linspace(xk - step, xk + step, 2001).tolist())
+        golden = phi(_golden_min(phi, xk - step, xk + step, 1e-10))
+        slack = 1e-12 * max(1.0, abs(grid))
+        assert value <= grid + slack, (trial, value, grid)
+        assert value <= golden + slack, (trial, value, golden)
+
+
+def test_other_pairs_keep_golden_section():
+    spec = penlq.bridge(0.5)
+    phi = _restriction([0.3], [0], [1.0], 0.2, 1.5, 1.0, _float_eval(spec))
+    for q, family_spec in ((1.5, spec), (2.0, spec), (3.0, penlq.mcp())):
+        v, value = _line_search(q, family_spec)(phi, 0.2, 0.1, [0.3], [0], [1.0])
+        assert v == _golden_min(phi, 0.1, 0.3, 1e-10) and value == phi(v)
+
+
+def test_l0_line_search_lands_on_zero():
+    # phi = |x - 0.05|^2 + p(|x|): the jump at 0 is worth 1, so 0 beats the
+    # vertex at 0.05, which the fit sees only through interior points
+    phi = _restriction([0.05], [0], [1.0], 0.1, 2.0, 1.0, _float_eval(penlq.l0()))
+    v, value = _line_search(2.0, penlq.l0())(phi, 0.1, 0.2, [0.05], [0], [1.0])
+    assert v == 0.0 and value == pytest.approx(0.0025, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Hybrid mode: no descent on certified optima
+# ---------------------------------------------------------------------------
+
+
+def _refuse_descent(*args, **kwargs):
+    raise AssertionError("local_descent ran on a certified optimum")
+
+
+@pytest.mark.parametrize(("m", "b"), YES_INSTANCES)
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_hybrid_returns_certificate_without_descent(monkeypatch, mcp_spec, m, b, q):
+    red = build(ThreePartitionInstance(m=m, b=b), mcp_spec, q=q, lam=1.0)
+    structured = solve(red, mode="structured")
+    monkeypatch.setattr(solver, "local_descent", _refuse_descent)
+    hybrid = solve(red, mode="hybrid", restarts=3, seed=9)
+    assert hybrid.x.tobytes() == structured.x.tobytes()
+    assert (hybrid.value, hybrid.gap) == (structured.value, structured.gap)
+    assert hybrid.assignments_explored == structured.assignments_explored
+    assert hybrid.seed == 9
+
+
+@pytest.mark.parametrize(("m", "b"), NO_INSTANCES[:2] + NO_INSTANCES[4:5])
+def test_hybrid_descends_every_restart_on_no_instance(monkeypatch, mcp_spec, m, b):
+    red = build(ThreePartitionInstance(m=m, b=b), mcp_spec, q=2.0, lam=1.0)
+    calls = []
+    descent = solver.local_descent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "local_descent", counting)
+    solve(red, mode="hybrid", restarts=3, seed=0)
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# The cached assignment table
+# ---------------------------------------------------------------------------
+
+
+def test_assignment_table_is_shared_read_only_and_bounded():
+    table = _assignment_digits(6, 2)
+    assert table.dtype == np.int8 and table.shape == (64, 6)
+    assert _assignment_digits(6, 2) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert _assignment_digits.cache_info().maxsize is not None
+    # row k holds the little-endian base-m digits of k
+    assert table[37].tolist() == [1, 0, 1, 0, 0, 1]
+
+
+def test_structured_matches_uncached_formula_bytewise(specs):
+    rng = np.random.default_rng(23)
+    cases = [(1, (2, 2, 2)), (1, (1, 5, 9))] + list(YES_INSTANCES + NO_INSTANCES)
+    cases += [(2, tuple(int(v) for v in rng.integers(100_000, 1_000_001, size=6)))]
+    cases += [(3, tuple(int(v) for v in rng.integers(1, 30, size=9)))]
+    for m, b in cases:
+        if sum(b) % m:
+            b = b[:-1] + (b[-1] + m - sum(b) % m,)
+        tp = ThreePartitionInstance(m=m, b=b)
+        for name in ("mcp", "l0", "bridge"):
+            for q in (1.0, 1.5, 2, 3.0):
+                red = build(tp, specs[name], q=q, lam=1.0)
+                result = minimize_structured(red)
+                expected = structured_x_uncached(red)
+                assert result.x.tobytes() == expected.tobytes(), (m, b, name, q)
+                assert result.value == objective(red, expected)
