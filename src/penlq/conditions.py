@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gfun import _is_integer
+from .errors import _require_count
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
@@ -46,11 +46,6 @@ class ConditionReport:
 
 
 _TOL = 1e-12
-
-
-def _require_count(name: str, value: int, floor: int) -> None:
-    if not (_is_integer(value) and value >= floor):
-        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:

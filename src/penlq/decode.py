@@ -19,6 +19,7 @@ from .errors import ReductionInvariantError, RoundingFailureError
 from .reduction import (
     ReductionInstance,
     ThreePartitionInstance,
+    _certificate,
     _checked_subsets,
     as_solution_matrix,
     objective,
@@ -55,7 +56,6 @@ def round_solution(red: ReductionInstance, x) -> RoundedSolution:
     t_star, delta = red.t_star, red.delta
     near_star = np.abs(x_mat - t_star) < 2.0 * delta
     near_zero = np.abs(x_mat) < delta
-    y = np.zeros_like(x_mat)
     chosen = []
     for i in range(red.n):
         stars = np.nonzero(near_star[i])[0]
@@ -72,9 +72,8 @@ def round_solution(red: ReductionInstance, x) -> RoundedSolution:
                 f"row {i + 1}: entry x[{i + 1},{k + 1}] = {x_mat[i, k]:g} is neither "
                 f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
             )
-        y[i, j] = t_star
         chosen.append(j)
-    return RoundedSolution(y=y, chosen_column=tuple(chosen))
+    return RoundedSolution(y=_certificate(red, chosen), chosen_column=tuple(chosen))
 
 
 def to_partition(red: ReductionInstance, rounded: RoundedSolution) -> Partition:

@@ -1,8 +1,36 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and number checks shared across the package.
 
-The CLI maps these onto process exit codes, so raising the right class
-matters: see ``penlq.cli``.
+The CLI maps the exceptions onto process exit codes, so raising the right
+class matters: see ``penlq.cli``.  :func:`_is_integer` and :func:`_is_real`
+are the one test for "is this a number?", asked by every entry point that
+takes one (counts through :func:`_require_count`); a no raises ValueError
+there, never a coercion.
 """
+
+import math
+
+import numpy as np
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite Python or numpy integer or float: never a bool, NaN, +-inf
+    or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _require_count(name: str, value, floor: int) -> None:
+    if not (_is_integer(value) and value >= floor):
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 class PenlqError(Exception):

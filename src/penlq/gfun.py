@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _is_integer, _is_real
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 
 _PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -37,30 +38,19 @@ _BRACKET_TOL = 1e-12
 _MAX_GRID_EXP = 64
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A Python or numpy integer or float, never a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def _require_q(q: float) -> None:
-    if not (_is_real(q) and 1.0 <= q < math.inf):
+    if not (_is_real(q) and q >= 1.0):
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
 
 
 def _require_lam(lam: float) -> None:
-    if not (_is_real(lam) and 0.0 < lam < math.inf):
+    if not (_is_real(lam) and lam > 0.0):
         raise ValueError(f"lam must be a positive finite number, got {lam!r}")
 
 
 def _require_inputs(q: float, lam: float, grid_exp: int) -> None:
-    """Raise ValueError unless q is finite and at least 1, lam is finite and
-    positive, and grid_exp is an integer in 0..64; bools and strings are none
-    of these."""
+    """Raise ValueError unless q >= 1 and lam > 0 are finite numbers and
+    grid_exp is an integer in 0..64."""
     _require_q(q)
     _require_lam(lam)
     if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
@@ -85,10 +75,12 @@ class GParams:
 
     def __post_init__(self):
         _require_q(self.q)
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.theta < 0.0:
-            raise ValueError("theta must be non-negative")
+        if not (_is_real(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be a positive finite number, got {self.mu!r}")
+        if not (_is_real(self.theta) and self.theta >= 0.0):
+            raise ValueError(f"theta must be a non-negative finite number, got {self.theta!r}")
+        if not _is_real(self.tau_hat):
+            raise ValueError(f"tau_hat must be a finite number, got {self.tau_hat!r}")
         if self.q == 1.0 and self.theta != 0.0:
             raise ValueError("q = 1 requires theta = 0")
 
@@ -156,7 +148,8 @@ def rationalize(
     lam: float,
     q: float,
     grid_exp: int = 20,
-    tau_hat: float | None = None,
+    *,
+    tau_hat: float,
 ) -> GParams:
     """Smallest coefficients above the thresholds with dyadic q-th roots.
 
@@ -170,8 +163,6 @@ def rationalize(
     rejected for all three).
     """
     _require_inputs(q, lam, grid_exp)
-    if tau_hat is None:
-        raise ValueError("rationalize requires the tau_hat anchor")
     if q == 1.0:
         mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0, grid_exp)
         return GParams(
@@ -317,7 +308,6 @@ def verify_g_shape(
     Both: g(t) >= h + delta_bar**2 on samples of [-2*tau, tau0] and
     [tau, 3*tau].
     """
-    _require_bounds(spec, analysis, params)
     tau0, tau = analysis.tau0, analysis.tau
     t_star, h = minimize_g(spec, analysis, params)
     radius = delta_bar(analysis, t_star)

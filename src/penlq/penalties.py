@@ -30,14 +30,13 @@ accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConditionViolationError, NondifferentiableError
+from .errors import ConditionViolationError, NondifferentiableError, _is_real
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,8 @@ class PenaltySpec:
             raise ValueError(f"{self.family}: unexpected parameters {extra}")
         for name, ok in record.params.items():
             value = self.params[name]
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{self.family}: parameter {name} must be a number")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite or not ok(value):
-                raise ValueError(f"{self.family}: parameter {name}={value} out of range")
+            if not (_is_real(value) and ok(value)):
+                raise ValueError(f"{self.family}: parameter {name}={value!r} out of range")
         params = {k: float(v) for k, v in self.params.items()}
         if record.joint is not None and not record.joint[1](**params):
             raise ValueError(f"{self.family}: requires {record.joint[0]}")
@@ -160,16 +153,12 @@ def p_eval(spec: PenaltySpec, t):
 
 def p_d1(spec: PenaltySpec, t):
     """First derivative p'(t) for t > 0 away from kink points."""
-    t_arr = _check_diff_points(spec, t)
-    out = _REGISTRY[spec.family].d1(t_arr, **spec._kwargs)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return _derivative(spec, t, "d1")
 
 
 def p_d2(spec: PenaltySpec, t):
     """Second derivative p''(t) for t > 0 away from kink points."""
-    t_arr = _check_diff_points(spec, t)
-    out = _REGISTRY[spec.family].d2(t_arr, **spec._kwargs)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return _derivative(spec, t, "d2")
 
 
 def kink_points(spec: PenaltySpec) -> tuple[float, ...]:
@@ -189,7 +178,8 @@ def _float_eval(spec: PenaltySpec):
     return _REGISTRY[spec.family].scalar(**spec._kwargs)
 
 
-def _check_diff_points(spec: PenaltySpec, t) -> np.ndarray:
+def _derivative(spec: PenaltySpec, t, field: str):
+    """The family's ``field`` ("d1" or "d2") at t > 0, off the kink points."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("derivatives are defined for t > 0 only")
@@ -199,7 +189,8 @@ def _check_diff_points(spec: PenaltySpec, t) -> np.ndarray:
             raise NondifferentiableError(
                 f"{spec.family}: derivative undefined at kink t = {kink}"
             )
-    return t_arr
+    out = getattr(_REGISTRY[spec.family], field)(t_arr, **spec._kwargs)
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

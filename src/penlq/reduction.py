@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfun import GAnalysis, GParams, _is_integer, _require_lam, _require_q, full_analysis
+from .errors import _is_integer, _require_count
+from .gfun import GAnalysis, GParams, _require_lam, _require_q, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
 
@@ -41,8 +42,7 @@ class ThreePartitionInstance:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_integer(self.m) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        _require_count("m", self.m, 1)
         if not all(_is_integer(v) for v in self.b):
             raise ValueError("all items must be integers")
         object.__setattr__(self, "m", int(self.m))
@@ -247,8 +247,13 @@ def encode_certificate(red: ReductionInstance, partition) -> np.ndarray:
     subsets = _checked_subsets(partition, red.n)
     if len(subsets) != red.m:
         raise ValueError(f"partition must have {red.m} subsets, got {len(subsets)}")
+    owner = {item: j for j, subset in enumerate(subsets) for item in subset}
+    return _certificate(red, [owner[i] for i in range(1, red.n + 1)])
+
+
+def _certificate(red: ReductionInstance, assignment) -> np.ndarray:
+    """The (n, m) matrix with x_ij = t_star where assignment[i] = j, else 0."""
     x = np.zeros((red.n, red.m))
-    for j, subset in enumerate(subsets):
-        for item in subset:
-            x[item - 1, j] = red.t_star
+    for i, j in enumerate(assignment):
+        x[i, j] = red.t_star
     return x

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import _is_real
 from .penalties import PenaltySpec, spec_from_dict, spec_to_dict
 from .reduction import ReductionInstance, ThreePartitionInstance, build, optimal_bound
 from .solver import SolveResult
@@ -107,7 +108,7 @@ def instance_from_dict(data: dict) -> ReductionInstance:
     rebuilt record (A, target, meta, layout, a missing or extra key) means
     the file was edited or corrupted, and raises ValueError.  So does a
     record that is not an object, lacks a recipe key, or holds a q or lambda
-    that is not a number.
+    that is not a finite number.
     """
     if not isinstance(data, dict):
         raise ValueError("instance file must be a JSON object")
@@ -125,12 +126,9 @@ def instance_from_dict(data: dict) -> ReductionInstance:
 
 def _float(data: dict, key: str) -> float:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"instance {key!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer too large for a float
-        raise ValueError(f"instance {key!r} is out of range") from None
+    if not _is_real(value):
+        raise ValueError(f"instance {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_instance(path) -> ReductionInstance:

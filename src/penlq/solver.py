@@ -20,15 +20,15 @@ optimal.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .decode import decide
+from .errors import SizeGuardError, _is_real, _require_count
 from .gfun import _golden_min
 from .penalties import _REGISTRY, _float_eval, kink_points
-from .reduction import ProblemInstance, ReductionInstance, objective, optimal_bound
+from .reduction import ProblemInstance, ReductionInstance, _certificate, objective, optimal_bound
 
 _MAX_ASSIGNMENTS = 10**7
 
@@ -79,8 +79,7 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
     imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** red.problem.q, axis=1)
     best = int(np.argmin(imbalance))  # the first minimum: smallest index
 
-    x = np.zeros((n, m))
-    x[np.arange(n), digits[best]] = red.t_star
+    x = _certificate(red, digits[best].tolist())
     value = objective(red, x)
     return SolveResult(
         x=x, value=value, gap=value - optimal_bound(red), assignments_explored=total, seed=0
@@ -194,17 +193,19 @@ def local_descent(
     the full objective is evaluated: a sweep that raised it (by rounding)
     is undone, so the objective is non-increasing, and descent stops once
     a sweep improves by less than tol.  Raises ValueError for a non-finite
-    x0, a step that is not a positive finite number, or max_iters < 0.
+    x0, or unless step is a positive finite number, max_iters a
+    non-negative integer and tol a non-negative finite number.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != problem.cols:
         raise ValueError(f"x0 must have {problem.cols} entries, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be a positive finite number, got {step}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+    if not (_is_real(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
+    _require_count("max_iters", max_iters, 0)
+    if not (_is_real(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
 
     a = problem.a_matrix
     columns = []
@@ -237,16 +238,6 @@ def local_descent(
     return np.array(xs)
 
 
-def _equal_sums(red: ReductionInstance, x: np.ndarray) -> bool:
-    """Whether the certificate-shaped x (t_star once per item row) gives
-    every subset the same integer item sum: the exact test for an equal-sum
-    certificate."""
-    sums = [0] * red.m
-    for item, subset in zip(red.tp.b, np.argmax(x, axis=1).tolist()):
-        sums[subset] += item
-    return len(set(sums)) == 1
-
-
 def solve(
     red: ReductionInstance,
     mode: str = "structured",
@@ -256,23 +247,24 @@ def solve(
     """Structured enumeration, optionally polished by local descent.
 
     mode "structured" returns :func:`minimize_structured` unchanged.  mode
-    "hybrid" returns it too, with ``seed`` echoed, when its solution is an
-    equal-sum certificate (decided on the exact integer subset sums): by the
-    reduction's forward direction that certificate attains the global bound
+    "hybrid" returns it too, with ``seed`` echoed, when ``restarts`` is 0 or
+    :func:`penlq.decode.decide` accepts its solution: by the reduction's
+    forward direction an equal-sum certificate attains the global bound
     n*lam*h, so descent could move F by rounding only.  Otherwise hybrid
     runs ``restarts`` descent passes: the first from the best structured
     solution, the rest from seeded perturbations of it; the returned value
     is never worse than the structured one.  Reproducible for a fixed seed;
-    structured mode is seed-independent.
+    structured mode is seed-independent.  Raises ValueError unless restarts
+    and seed are non-negative integers.
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
-    if restarts < 0:
-        raise ValueError("restarts must be non-negative")
+    _require_count("restarts", restarts, 0)
+    _require_count("seed", seed, 0)
     base = minimize_structured(red)
-    if mode == "structured" or restarts == 0:
+    if mode == "structured":
         return base
-    if _equal_sums(red, base.x):
+    if restarts == 0 or decide(red, base.x) is not None:
         return replace(base, seed=seed)
 
     rng = np.random.default_rng(seed)

@@ -66,6 +66,8 @@ def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
         {"grid_exp": True},
         {"q": True},
         {"lam": True},
+        {"q": 10**400},
+        {"lam": 10**400},
     ],
 )
 def test_rationalize_rejects_out_of_range_inputs(mcp_analysis, kwargs):
@@ -193,6 +195,10 @@ def test_gparams_validation():
         GParams(q=2.0, theta=1.0, mu=0.0, tau_hat=0.7)
     with pytest.raises(ValueError):
         GParams(q=0.5, theta=1.0, mu=10.0, tau_hat=0.7)
+    nan = float("nan")
+    for coefficients in ({"mu": nan}, {"theta": nan}, {"tau_hat": nan}):
+        with pytest.raises(ValueError):
+            GParams(**{"q": 2.0, "theta": 1.0, "mu": 10.0, "tau_hat": 0.7, **coefficients})
 
 
 def test_delta_bar_mcp(mcp_analysis):

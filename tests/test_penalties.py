@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,7 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: PenaltySpec("mcp", {"gamma": 1.0, "b": "1.5"}),  # nor is a string
         lambda: spec_from_dict({"family": "mcp", "params": [1, 2]}),
         lambda: penlq.mcp(10**400, 1.0),  # no float holds it
+        lambda: penlq.mcp(Fraction(1, 2), 1.0),  # nor is a Fraction a float
     ],
 )
 def test_invalid_parameters_rejected(bad):

@@ -133,7 +133,9 @@ def test_objective_never_below_bound(demo_instance):
 @pytest.mark.parametrize(
     "lam, q", [(0.0, 2.0), (float("inf"), 2.0), (float("nan"), 2.0), (1.0, 0.5),
                (1.0, float("inf")), (1.0, float("nan")), (True, 2.0), (1.0, True),
-               (True, True), ("1", 2.0), (1.0, "2"), (None, 2.0)],
+               (True, True), ("1", 2.0), (1.0, "2"), (None, 2.0),
+               pytest.param(10**400, 2.0, id="1e400-2.0"),
+               pytest.param(1.0, 10**400, id="1.0-1e400")],
 )
 def test_problem_instance_requires_finite_lam_and_q(mcp_spec, lam, q):
     with pytest.raises(ValueError, match="finite"):

@@ -112,6 +112,7 @@ def test_hybrid_zero_restarts_equals_structured(demo_instance):
     hybrid = solve(demo_instance, mode="hybrid", restarts=0, seed=1)
     assert np.array_equal(structured.x, hybrid.x)
     assert structured.value == hybrid.value
+    assert hybrid.seed == 1
 
 
 def test_hybrid_never_worse_and_reproducible(demo_instance):
@@ -136,6 +137,10 @@ def test_solve_rejects_bad_budget(demo_instance):
         solve(demo_instance, mode="annealing")
     with pytest.raises(ValueError):
         solve(demo_instance, mode="hybrid", restarts=-1)
+    for budget in ({"restarts": True}, {"restarts": 1.5}, {"seed": True},
+                   {"seed": None}, {"seed": 1.5}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            solve(demo_instance, mode="hybrid", **{"restarts": 1, **budget})
 
 
 def test_yes_instance_certificate_among_optima(mcp_spec):
@@ -160,6 +165,11 @@ def test_yes_instance_certificate_among_optima(mcp_spec):
         {"step": float("nan")},
         {"step": float("inf")},
         {"max_iters": -1},
+        {"step": True},
+        {"max_iters": True},
+        {"max_iters": 2.5},
+        {"tol": float("nan")},
+        {"tol": -1.0},
     ],
 )
 def test_local_descent_rejects_bad_inputs(demo_instance, demo_certificate, kwargs):
