@@ -195,7 +195,11 @@ def _length_batches(trials: int):
 
 
 def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -> FuzzReport:
-    """Random lists (length 2..6, entries uniform in [-2*tau, 2*tau])."""
+    """Random lists (length 2..6, entries uniform in [-2*tau, 2*tau]).
+
+    Raises ValueError unless trials is an integer >= 1 and seed one >= 0.
+    """
+    _require_count("seed", seed, 0)
     tau, _, _ = band(spec)
     rng = np.random.default_rng(seed)
     violations = 0
@@ -220,7 +224,9 @@ def fuzz_concentration(
     coordinate carries everything, the rest are zero), which is the only
     way the penalty sum can stay below the threshold for the l0 indicator.
     Any COUNTEREXAMPLE_FOUND verdict is a bug and counts as a violation.
+    Raises ValueError unless trials is an integer >= 1 and seed one >= 0.
     """
+    _require_count("seed", seed, 0)
     if analysis is None:
         analysis = analyze(spec)
     tau0, tau = analysis.tau0, analysis.tau

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _is_integer, _is_real
+from .errors import _is_integer, _is_real, _require_count
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 
 _PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -189,14 +189,17 @@ def rationalize(
 def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for a minimizer of f on [lo, hi].
 
-    Shrinks the bracket until it is at most tol wide and returns its
-    midpoint; ties (f(c) == f(d)) keep the right-hand part.  Shared by
-    :func:`minimize_g` and the descent line search in :mod:`penlq.solver`.
+    Shrinks the bracket until it is at most tol wide, or until a step
+    leaves it no narrower (float resolution, so a tol below the spacing of
+    floats near the minimizer still ends), and returns its midpoint; ties
+    (f(c) == f(d)) keep the right-hand part.  Shared by :func:`minimize_g`
+    and the descent line search in :mod:`penlq.solver`.
     """
     c = hi - _PHI_INV * (hi - lo)
     d = lo + _PHI_INV * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    width = hi - lo
+    while width > tol:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _PHI_INV * (hi - lo)
@@ -205,6 +208,10 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
             lo, c, fc = c, d, fd
             d = lo + _PHI_INV * (hi - lo)
             fd = f(d)
+        narrower = hi - lo
+        if narrower >= width:
+            break
+        width = narrower
     return 0.5 * (lo + hi)
 
 
@@ -245,9 +252,12 @@ def minimize_g(
     For q = 1 the minimizer is tau_hat exactly and h = p(tau_hat).  For
     q > 1, g is strictly convex on [tau0, tau] and the global minimum lies
     inside, so a golden-section search down to bracket width bracket_tol
-    (default 1e-12) finds it.  Raises ValueError when the coefficients sit
-    below the thresholds.
+    (default 1e-12, or float resolution if that is wider) finds it.  Raises
+    ValueError when the coefficients sit below the thresholds or unless
+    bracket_tol is a positive finite number.
     """
+    if not (_is_real(bracket_tol) and bracket_tol > 0.0):
+        raise ValueError(f"bracket_tol must be a positive finite number, got {bracket_tol!r}")
     _require_bounds(spec, analysis, params)
     if params.q == 1.0:
         return params.tau_hat, p_eval(spec, params.tau_hat)
@@ -306,8 +316,9 @@ def verify_g_shape(
     1 < q < 2, where the mu-term curvature is unbounded but positive).
     q = 1: slopes below -1 left of tau_hat and above +1 right of it.
     Both: g(t) >= h + delta_bar**2 on samples of [-2*tau, tau0] and
-    [tau, 3*tau].
+    [tau, 3*tau].  Raises ValueError unless n_samples is an integer >= 2.
     """
+    _require_count("n_samples", n_samples, 2)
     tau0, tau = analysis.tau0, analysis.tau
     t_star, h = minimize_g(spec, analysis, params)
     radius = delta_bar(analysis, t_star)

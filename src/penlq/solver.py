@@ -2,10 +2,14 @@
 
 :func:`minimize_structured` enumerates the certificate-shaped family
 exhaustively: every assignment of items to subsets, with x_ij = t_star on
-the chosen subset and 0 elsewhere, scored in one vectorized numpy pass over
-a cached table of all assignments.  Since n = 3m, the 10**7 size guard
-admits m <= 3 only, i.e. at most 3**9 assignments, so the pass is serial
-and small.  For instances built from a 3-partition with an equal-sum
+the chosen subset and 0 elsewhere.  Every assignment's imbalance is formed
+from per-half subset-sum differences: two small cached weight tables, one
+per half of the items, give each half's differences by one product with
+the items, and outer sums of the two halves score all m**n assignments in
+one vectorized numpy pass.  The sums are exact integers in floats because
+build caps sum(b) at 2**53.  Since n = 3m, the 10**7 size guard admits
+m <= 3 only, i.e. at most 3**9 assignments, so the pass is serial and
+small.  For instances built from a 3-partition with an equal-sum
 partition this family contains a global optimum, so the enumerator is exact
 there; on other instances it upper-bounds the optimum over the structured
 family only.  :func:`local_descent` is a generic derivative-free polisher
@@ -43,15 +47,18 @@ class SolveResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _assignment_digits(n: int, m: int) -> np.ndarray:
-    """Read-only (m**n, n) int8 table: row k holds the base-m digits of k,
-    little-endian, so digit i is the subset of item i in assignment k.
-    Instances of one shape share it; n = 3m and the size guard keep m <= 3."""
-    powers = m ** np.arange(n, dtype=np.int64)
-    digits = (np.arange(m**n, dtype=np.int64)[:, None] // powers[None, :]) % m
-    digits = digits.astype(np.int8)
-    digits.setflags(write=False)
-    return digits
+def _half_weights(k: int, m: int) -> np.ndarray:
+    """Read-only (m - 1, m**k, k) float table for one half of k items:
+    entry [j - 1, r, i] is [digit i of r == j] - [digit i of r == 0], with
+    r written in base m little-endian, so ``table[j - 1] @ b_half`` is that
+    half's share of C_j - C_1 for every assignment r of its items.  Instances
+    of one shape share it; n = 3m and the size guard keep m <= 3."""
+    powers = m ** np.arange(k, dtype=np.int64)
+    digits = (np.arange(m**k, dtype=np.int64)[:, None] // powers) % m
+    subsets = np.arange(1, m)[:, None, None]
+    weights = (digits == subsets).astype(float) - (digits == 0)
+    weights.setflags(write=False)
+    return weights
 
 
 def minimize_structured(red: ReductionInstance) -> SolveResult:
@@ -59,11 +66,17 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
 
     For each assignment, F = n*lam*h + t_star**q * sum_{j>=2} |C_j - C_1|^q
     where C_j is the integer sum of items assigned to subset j, so only the
-    integer imbalance term varies.  All assignments are scored in one
-    vectorized pass; assignment k puts item i in subset digit i of k written
-    in base m (little-endian).  Deterministic: ties break toward the
-    smallest assignment index.  Raises SizeGuardError above 10**7
-    assignments.
+    integer imbalance term varies.  Assignment k puts item i in subset
+    digit i of k written in base m (little-endian).  The differences
+    D_j = C_j - C_1 split over the low items 0..n//2-1 and the high rest
+    (meet in the middle, Horowitz & Sahni 1974): each half's D_j come from
+    one product of a cached weight table with its items, and the D_j of
+    assignment hi*m**(n//2) + lo is hi's part plus lo's part, so all m**n
+    imbalances are formed by outer sums without an (m**n, n) table.  The
+    floats are exact integers, since build caps sum(b) at 2**53, so the
+    scores equal those of the plain per-assignment formula bit for bit.
+    Deterministic: ties break toward the smallest assignment index.
+    Raises SizeGuardError above 10**7 assignments.
     """
     n, m = red.n, red.m
     total = m**n
@@ -71,15 +84,16 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
         raise SizeGuardError(
             f"m**n = {total} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
         )
-    b = np.asarray(red.tp.b, dtype=np.int64)
-    digits = _assignment_digits(n, m)
-    sums = np.empty((total, m))
-    for j in range(m):
-        sums[:, j] = (digits == j) @ b  # exact: int64 sums of at most 2**53
-    imbalance = np.sum(np.abs(sums[:, 1:] - sums[:, :1]) ** red.problem.q, axis=1)
-    best = int(np.argmin(imbalance))  # the first minimum: smallest index
+    b = np.asarray(red.tp.b, dtype=float)  # exact: build caps sum(b) at 2**53
+    low = n // 2
+    lo = _half_weights(low, m) @ b[:low]
+    hi = _half_weights(n - low, m) @ b[low:]
+    diffs = (hi[:, :, None] + lo[:, None, :]).reshape(m - 1, total)  # row j - 1: D_j
+    np.abs(diffs, out=diffs)
+    diffs **= red.problem.q
+    best = int(np.argmin(diffs.sum(axis=0)))  # the first minimum: smallest index
 
-    x = _certificate(red, digits[best].tolist())
+    x = _certificate(red, [best // m**i % m for i in range(n)])
     value = objective(red, x)
     return SolveResult(
         x=x, value=value, gap=value - optimal_bound(red), assignments_explored=total, seed=0

@@ -68,9 +68,10 @@ def structured_minimum(m: int, b, q: float) -> tuple[int, ...]:
 
 
 def structured_x_uncached(red) -> np.ndarray:
-    """The structured minimizer x by the enumerator's vectorized formula,
-    rebuilding the assignment digits on every call and summing items with
-    an elementwise product: the reference for the cached table."""
+    """The structured minimizer x by the plain per-assignment formula: the
+    full (m**n, n) assignment digit table, rebuilt on every call, with each
+    subset sum taken by an elementwise product.  The reference for the
+    enumerator's per-half scoring."""
     n, m = red.n, red.m
     total = m**n
     b = np.asarray(red.tp.b, dtype=np.int64)

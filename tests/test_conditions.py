@@ -263,6 +263,14 @@ def test_fuzzers_require_a_positive_integer_trial_count(mcp_spec, trials):
         penlq.fuzz_concentration(mcp_spec, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [True, None, 1.5, -1])
+def test_fuzzers_require_a_non_negative_integer_seed(mcp_spec, seed):
+    with pytest.raises(ValueError, match="seed"):
+        penlq.fuzz_subadditivity(mcp_spec, trials=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        penlq.fuzz_concentration(mcp_spec, trials=10, seed=seed)
+
+
 def test_fuzzers_accept_fewer_trials_than_lengths(mcp_spec):
     for trials in (1, 4, np.int64(7)):
         assert penlq.fuzz_subadditivity(mcp_spec, trials=trials).trials == trials

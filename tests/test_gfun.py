@@ -14,7 +14,7 @@ from penlq import (
     rationalize,
     verify_g_shape,
 )
-from penlq.gfun import _full_analysis, full_analysis
+from penlq.gfun import _full_analysis, _golden_min, full_analysis
 
 from conftest import all_admissible_specs
 
@@ -188,6 +188,34 @@ def test_minimize_g_stable_under_tolerance_halving(mcp_spec, mcp_analysis):
     assert abs(t1 - t2) < 1e-10
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True])
+def test_minimize_g_rejects_bad_bracket_tol(mcp_spec, mcp_analysis, tol):
+    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
+    with pytest.raises(ValueError, match="bracket_tol"):
+        minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=tol)
+
+
+def test_minimize_g_sub_ulp_tolerance_stops_at_float_resolution(mcp_spec, mcp_analysis):
+    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
+    t_default, _ = minimize_g(mcp_spec, mcp_analysis, params)
+    t_fine, h_fine = minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=1e-300)
+    assert abs(t_fine - t_default) < 1e-10
+    assert h_fine == g_eval(mcp_spec, params, t_fine)
+
+
+def test_golden_min_ends_when_the_bracket_stops_shrinking():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 200:
+            raise RuntimeError("golden section did not stop")
+        return (t - 1e6) ** 2
+
+    # near 1e6 floats are 1.2e-10 apart, so a 1e-12 bracket is unreachable
+    assert _golden_min(f, 1e6 - 1.0, 1e6 + 1.0, 1e-12) == pytest.approx(1e6, abs=1e-9)
+
+
 def test_gparams_validation():
     with pytest.raises(ValueError):
         GParams(q=1.0, theta=0.5, mu=10.0, tau_hat=0.7)  # q = 1 forces theta = 0
@@ -231,6 +259,13 @@ def test_verify_g_shape_mcp_q2(mcp_spec, mcp_analysis):
     assert report.overall and report.escape_ok
     # smooth-band curvature is -1 + 2 + 392 = 393
     assert report.min_curvature == pytest.approx(393.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, True, 2.5])
+def test_verify_g_shape_rejects_bad_sample_count(mcp_spec, mcp_analysis, n_samples):
+    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_g_shape(mcp_spec, mcp_analysis, params, n_samples=n_samples)
 
 
 def test_verify_g_shape_q1_slopes(mcp_spec, mcp_analysis):

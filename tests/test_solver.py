@@ -19,7 +19,7 @@ from penlq import solver
 from penlq.gfun import _golden_min
 from penlq.penalties import _REGISTRY, _float_eval
 from penlq.reduction import ProblemInstance
-from penlq.solver import _assignment_digits, _line_search, _restriction
+from penlq.solver import _half_weights, _line_search, _restriction
 
 from conftest import all_admissible_specs
 from oracles import (
@@ -395,19 +395,22 @@ def test_hybrid_descends_every_restart_on_no_instance(monkeypatch, mcp_spec, m, 
 
 
 # ---------------------------------------------------------------------------
-# The cached assignment table
+# The cached per-half weight tables
 # ---------------------------------------------------------------------------
 
 
 def test_assignment_table_is_shared_read_only_and_bounded():
-    table = _assignment_digits(6, 2)
-    assert table.dtype == np.int8 and table.shape == (64, 6)
-    assert _assignment_digits(6, 2) is table
+    table = _half_weights(3, 2)
+    assert table.dtype == np.float64 and table.shape == (1, 8, 3)
+    assert _half_weights(3, 2) is table
     with pytest.raises(ValueError):
-        table[0, 0] = 1
-    assert _assignment_digits.cache_info().maxsize is not None
-    # row k holds the little-endian base-m digits of k
-    assert table[37].tolist() == [1, 0, 1, 0, 0, 1]
+        table[0, 0, 0] = 1.0
+    assert _half_weights.cache_info().maxsize is not None
+    # row r weighs item i by [digit i of r == j] - [digit i of r == 0],
+    # digits little-endian: 6 is (0, 1, 1)
+    assert table[0, 6].tolist() == [-1.0, 1.0, 1.0]
+    # m = 3, r = 5 is (2, 1): subset 2 holds item 0, subset 1 item 1
+    assert _half_weights(2, 3)[:, 5].tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_structured_matches_uncached_formula_bytewise(specs):
@@ -415,6 +418,9 @@ def test_structured_matches_uncached_formula_bytewise(specs):
     cases = [(1, (2, 2, 2)), (1, (1, 5, 9))] + list(YES_INSTANCES + NO_INSTANCES)
     cases += [(2, tuple(int(v) for v in rng.integers(100_000, 1_000_001, size=6)))]
     cases += [(3, tuple(int(v) for v in rng.integers(1, 30, size=9)))]
+    cases += [(3, tuple(int(v) for v in rng.integers(100_000, 1_000_001, size=9)))
+              for _ in range(2)]
+    cases += [(3, (7,) * 9)]  # every assignment of three items per subset ties
     for m, b in cases:
         if sum(b) % m:
             b = b[:-1] + (b[-1] + m - sum(b) % m,)
