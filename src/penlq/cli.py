@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 
 from . import conditions, decode, gfun, serde, solver
@@ -133,9 +133,8 @@ def cmd_reduce_build(args) -> int:
 
 
 def _load_partition_arg(raw: str):
-    path = Path(raw)
-    if path.exists():
-        return json.loads(path.read_text())
+    if os.path.isfile(raw):  # False, not an error, for a name too long to be a path
+        return serde.read_json(raw)
     return json.loads(raw)
 
 
@@ -203,9 +202,9 @@ def cmd_demo(args) -> int:
     line("epsilon", red.epsilon, "min(lambda*delta^2, (tau0/2)^q)")
     line("bound", optimal_bound(red), "n*lambda*h")
 
-    cert = encode_certificate(red, [[1, 2, 3], [4, 5, 6]])
-    print(f"certificate objective = {objective(red, cert):.17g} "
-          f"(gap {objective(red, cert) - optimal_bound(red):.3g})")
+    cert_value = objective(red, encode_certificate(red, [[1, 2, 3], [4, 5, 6]]))
+    print(f"certificate objective = {cert_value:.17g} "
+          f"(gap {cert_value - optimal_bound(red):.3g})")
     result = solver.solve(red, mode="structured")
     print(f"structured solve: value = {result.value:.17g}, gap = {result.gap:.3g}, "
           f"assignments = {result.assignments_explored}")
@@ -236,7 +235,8 @@ def build_parser() -> _Parser:
     ganalyze.add_argument("--spec", required=True)
     ganalyze.add_argument("--q", type=float, required=True)
     ganalyze.add_argument("--lambda", dest="lam", type=float, required=True)
-    ganalyze.add_argument("--grid-exp", type=int, default=20, help="dyadic grid exponent")
+    ganalyze.add_argument("--grid-exp", type=int, default=gfun._GRID_EXP,
+                          help="dyadic grid exponent")
     ganalyze.set_defaults(func=cmd_gfun_analyze)
 
     reduce_p = sub.add_parser("reduce", help="build reduction instances")
@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
     rbuild.add_argument("--spec", required=True)
     rbuild.add_argument("--q", type=float, required=True)
     rbuild.add_argument("--lambda", dest="lam", type=float, required=True)
-    rbuild.add_argument("--grid-exp", type=int, default=20)
+    rbuild.add_argument("--grid-exp", type=int, default=gfun._GRID_EXP)
     rbuild.add_argument("--out", required=True)
     rbuild.set_defaults(func=cmd_reduce_build)
 

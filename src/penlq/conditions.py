@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _require_count
-from .penalties import PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
+from .penalties import _C1_FLOOR, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
 
     # Not linear: the c1 margin must be strictly positive.
     c1 = c1_margin(spec, tau0)
-    not_linear_ok = c1 > _TOL
+    not_linear_ok = c1 > _C1_FLOOR
 
     # Smooth band: second finite differences along a grid of [tau0, tau] must
     # vary continuously, i.e. adjacent estimates may not jump.
@@ -132,6 +132,11 @@ class SplitVerdict(enum.Enum):
 _VERDICTS = tuple(SplitVerdict)  # indexed by the codes of _classify_rows
 
 
+def _concentration_radius(tau0: float, tau: float, t_tilde):
+    """The bound min(tau0/3, t_tilde - tau0, tau - t_tilde) on delta, elementwise."""
+    return np.minimum(np.minimum(tau0 / 3.0, t_tilde - tau0), tau - t_tilde)
+
+
 def _classify_rows(spec: PenaltySpec, analysis: PenaltyAnalysis, t_tilde, delta, rows):
     """Verdict code per row of ``rows`` (a split of the matching t_tilde, with
     its delta): 0, 1, 2 for the members of :class:`SplitVerdict` in order."""
@@ -161,7 +166,7 @@ def classify_split(
     tau0, tau = analysis.tau0, analysis.tau
     if not tau0 < t_tilde < tau:
         raise ValueError(f"t_tilde must lie in ({tau0:g}, {tau:g})")
-    delta_max = min(tau0 / 3.0, t_tilde - tau0, tau - t_tilde)
+    delta_max = _concentration_radius(tau0, tau, t_tilde)
     if not 0.0 < delta < delta_max:
         raise ValueError(f"delta must lie in (0, {delta_max:g})")
     t_arr = np.asarray(t_list, dtype=float)
@@ -234,7 +239,7 @@ def fuzz_concentration(
     counts = np.zeros(len(_VERDICTS), dtype=int)
     for length, n_here in _length_batches(trials):
         t_tilde = rng.uniform(tau0 + 0.05 * (tau - tau0), tau - 0.05 * (tau - tau0), size=n_here)
-        delta_max = np.minimum(np.minimum(tau0 / 3.0, t_tilde - tau0), tau - t_tilde)
+        delta_max = _concentration_radius(tau0, tau, t_tilde)
         delta = rng.uniform(0.05, 0.95, size=n_here) * delta_max
         weights = rng.exponential(1.0, size=(n_here, length))
         parts = t_tilde[:, None] * weights / weights.sum(axis=1, keepdims=True)

@@ -47,32 +47,30 @@ def round_solution(red: ReductionInstance, x) -> RoundedSolution:
     """Snap each row to its unique near-t_star entry.
 
     Entries with |x_ij - t_star| < 2*delta become t_star, entries with
-    |x_ij| < delta become 0.  A row with zero or several near-t_star
-    entries, or with an entry in neither zone, raises
-    RoundingFailureError naming the row: such an x cannot come from a
-    sub-threshold objective.
+    |x_ij| < delta become 0.  One row-wise predicate asks for exactly one
+    near-t_star entry and none in neither zone; the first row that fails
+    raises RoundingFailureError naming it (a wrong count before a stray
+    entry): such an x cannot come from a sub-threshold objective.
     """
     x_mat = as_solution_matrix(red, x)
     t_star, delta = red.t_star, red.delta
     near_star = np.abs(x_mat - t_star) < 2.0 * delta
-    near_zero = np.abs(x_mat) < delta
-    chosen = []
-    for i in range(red.n):
-        stars = np.nonzero(near_star[i])[0]
-        if stars.size != 1:
+    stray = ~(near_star | (np.abs(x_mat) < delta))
+    stars = np.count_nonzero(near_star, axis=1)
+    failed = np.flatnonzero((stars != 1) | stray.any(axis=1))
+    if failed.size:
+        i = int(failed[0])
+        if stars[i] != 1:
             raise RoundingFailureError(
                 f"row {i + 1}: expected exactly one entry within {2 * delta:g} of "
-                f"t_star = {t_star:g}, found {stars.size}"
+                f"t_star = {t_star:g}, found {int(stars[i])}"
             )
-        j = int(stars[0])
-        stray = np.nonzero(~(near_zero[i] | near_star[i]))[0]
-        if stray.size:
-            k = int(stray[0])
-            raise RoundingFailureError(
-                f"row {i + 1}: entry x[{i + 1},{k + 1}] = {x_mat[i, k]:g} is neither "
-                f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
-            )
-        chosen.append(j)
+        k = int(np.argmax(stray[i]))
+        raise RoundingFailureError(
+            f"row {i + 1}: entry x[{i + 1},{k + 1}] = {x_mat[i, k]:g} is neither "
+            f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
+        )
+    chosen = np.argmax(near_star, axis=1).tolist()
     return RoundedSolution(y=_certificate(red, chosen), chosen_column=tuple(chosen))
 
 

@@ -36,6 +36,7 @@ from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 _PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_TOL = 1e-12
 _MAX_GRID_EXP = 64
+_GRID_EXP = 20  # default dyadic grid exponent of rationalize
 
 
 def _require_q(q: float) -> None:
@@ -147,7 +148,7 @@ def rationalize(
     mu_lower: float,
     lam: float,
     q: float,
-    grid_exp: int = 20,
+    grid_exp: int = _GRID_EXP,
     *,
     tau_hat: float,
 ) -> GParams:
@@ -370,7 +371,7 @@ def verify_g_shape(
 
 
 def full_analysis(
-    spec: PenaltySpec, q: float, lam: float, grid_exp: int = 20
+    spec: PenaltySpec, q: float, lam: float, grid_exp: int = _GRID_EXP
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     """Run analyze -> lower_bounds -> rationalize -> minimize_g -> delta_bar.
 

@@ -400,6 +400,9 @@ def sampled_k_bound(spec: PenaltySpec, tau0: float, tau: float, grid_n: int = 10
     return 1.01 * float(np.max(-p_d2(spec, grid)))
 
 
+_C1_FLOOR = 1e-12  # p is "not linear" on [0, tau0] when c1 exceeds this
+
+
 def c1_margin(spec: PenaltySpec, tau0: float) -> float:
     """(p(tau0/3) + p(2*tau0/3) - p(tau0)) / (tau0/3).
 
@@ -419,7 +422,7 @@ def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     """
     tau, tau0, tau_hat = band(spec)
     c1 = c1_margin(spec, tau0)
-    if not c1 > 1e-12:
+    if not c1 > _C1_FLOOR:
         raise ConditionViolationError(
             f"{spec.family}: penalty is linear on [0, {tau0:g}] (c1 = {c1:.3g}); "
             "the reduction requires a concave-but-not-linear penalty"

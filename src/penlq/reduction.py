@@ -16,7 +16,9 @@ F < n*lam*h + epsilon decodes back into an equal-sum partition
 dyadic roots, so the instance size is polynomial in the 3-partition input.
 
 Variable ordering: column (i-1)*m + (j-1) holds x_ij (0-based, row-major by
-item).  Solution matrices are (n, m) arrays in the same layout.
+item).  Solution matrices are (n, m) arrays in the same layout.  Only this
+module knows it: :func:`build` writes A through a (rows, n, m) view, and
+other modules read x through :func:`as_solution_matrix`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _is_integer, _require_count
-from .gfun import GAnalysis, GParams, _require_lam, _require_q, full_analysis
+from .gfun import _GRID_EXP, GAnalysis, GParams, _require_lam, _require_q, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
+
+_LAYOUT = "row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)"
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ReductionInstance:
     ganalysis: GAnalysis
     delta: float
     epsilon: float
-    grid_exp: int = 20
+    grid_exp: int = _GRID_EXP
 
     @property
     def n(self) -> int:
@@ -141,11 +145,12 @@ def build(
     spec: PenaltySpec,
     q: float,
     lam: float,
-    grid_exp: int = 20,
+    grid_exp: int = _GRID_EXP,
 ) -> ReductionInstance:
     """Materialize the reduction for (tp, penalty, q, lam).
 
-    Runs the full coefficient pipeline, then emits three row blocks:
+    Runs the full coefficient pipeline, then writes three row blocks of A
+    through its (rows, n, m) view, whose entry [row, i, j] multiplies x_ij:
     m-1 balance rows (+b_i against column j, -b_i against column 1), n rows
     tying each item's row sum to zero with weight (lam*theta)^(1/q) (omitted
     when theta = 0, i.e. q = 1), and n rows pulling each row sum to tau_hat
@@ -156,28 +161,22 @@ def build(
         raise ValueError(f"sum(b) = {sum(tp.b)} exceeds 2**53; A would not be exact")
     analysis, gparams, ganalysis = full_analysis(spec, q, lam, grid_exp=grid_exp)
     n, m = tp.n, tp.m
-    theta_root = gparams.theta_root
-    mu_root = gparams.mu_root
-
-    n_rows = (m - 1) + (n if theta_root > 0.0 else 0) + n
+    theta_root, mu_root = gparams.theta_root, gparams.mu_root
+    roots = (theta_root, mu_root) if theta_root > 0.0 else (mu_root,)
+    n_rows = (m - 1) + len(roots) * n
     a = np.zeros((n_rows, n * m))
     target = np.zeros(n_rows)
-    col = lambda i, j: i * m + j  # 0-based item i, subset j
-
-    row = 0
+    blocks = a.reshape(n_rows, n, m)  # blocks[row, i, j] multiplies x_ij
+    b = np.array(tp.b, dtype=float)
+    blocks[: m - 1, :, 0] = -b
     for j in range(1, m):
+        blocks[j - 1, :, j] = b
+    row = m - 1
+    for root in roots:
         for i in range(n):
-            a[row, col(i, j)] = tp.b[i]
-            a[row, col(i, 0)] = -tp.b[i]
-        row += 1
-    if theta_root > 0.0:
-        for i in range(n):
-            a[row, col(i, 0) : col(i, m - 1) + 1] = theta_root
+            blocks[row, i, :] = root
             row += 1
-    for i in range(n):
-        a[row, col(i, 0) : col(i, m - 1) + 1] = mu_root
-        target[row] = mu_root * gparams.tau_hat
-        row += 1
+    target[-n:] = mu_root * gparams.tau_hat
 
     delta = min(analysis.tau0 / (8.0 * sum(tp.b)), ganalysis.delta_bar)
     epsilon = min(lam * delta * delta, (analysis.tau0 / 2.0) ** q)
@@ -204,7 +203,7 @@ def as_solution_matrix(red: ReductionInstance, x) -> np.ndarray:
 
 def objective(red: ReductionInstance, x) -> float:
     """F(x) for an (n, m) solution matrix (or anything reshapable to it)."""
-    return red.problem.objective(as_solution_matrix(red, x).reshape(-1))
+    return red.problem.objective(as_solution_matrix(red, x))
 
 
 def optimal_bound(red: ReductionInstance) -> float:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import _is_real
 from .penalties import PenaltySpec, spec_from_dict, spec_to_dict
-from .reduction import ReductionInstance, ThreePartitionInstance, build, optimal_bound
+from .reduction import (
+    _LAYOUT, ReductionInstance, ThreePartitionInstance, as_solution_matrix, build, optimal_bound,
+)
 from .solver import SolveResult
-
-_LAYOUT = "row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)"
 
 
 def dumps(obj) -> str:
@@ -152,17 +152,15 @@ def save_solution(path, result: SolveResult) -> None:
 def load_solution_matrix(path, red: ReductionInstance) -> np.ndarray:
     """Read the flat "x" of a solution file as an (n, m) matrix.
 
-    Raises ValueError unless "x" is a list of exactly n*m finite numbers.
+    Raises ValueError unless "x" is a flat list of n*m finite JSON numbers;
+    strings, bools, null and integers beyond float range are not coerced.
     """
     data = read_json(path)
     if not isinstance(data, dict) or "x" not in data:
         raise ValueError("solution file must be an object with an 'x' key")
-    try:
-        x = np.asarray(data["x"], dtype=float)
-    except TypeError:
-        raise ValueError("solution 'x' must be a list of numbers") from None
-    if x.ndim != 1 or x.size != red.n * red.m:
+    x = data["x"]
+    if not isinstance(x, list) or len(x) != red.n * red.m:
         raise ValueError(f"solution 'x' must be a flat list of {red.n * red.m} numbers")
-    if not np.all(np.isfinite(x)):
+    if not all(_is_real(v) for v in x):
         raise ValueError("solution 'x' must contain only finite numbers")
-    return x.reshape(red.n, red.m)
+    return as_solution_matrix(red, x)

@@ -32,7 +32,9 @@ from .decode import decide
 from .errors import SizeGuardError, _is_real, _require_count
 from .gfun import _golden_min
 from .penalties import _REGISTRY, _float_eval, kink_points
-from .reduction import ProblemInstance, ReductionInstance, _certificate, objective, optimal_bound
+from .reduction import (
+    ProblemInstance, ReductionInstance, _certificate, as_solution_matrix, objective, optimal_bound,
+)
 
 _MAX_ASSIGNMENTS = 10**7
 
@@ -285,14 +287,13 @@ def solve(
     best_x, best_val = base.x, base.value
     step = max(red.delta, 1e-3)
     for attempt in range(restarts):
-        if attempt == 0:
-            start = base.x.reshape(-1)
-        else:
-            start = base.x.reshape(-1) + rng.uniform(-red.delta, red.delta, size=base.x.size)
+        start = base.x
+        if attempt:
+            start = base.x + rng.uniform(-red.delta, red.delta, size=base.x.shape)
         polished = local_descent(red.problem, start, step=step)
         val = red.problem.objective(polished)
         if val < best_val:
-            best_x, best_val = polished.reshape(red.n, red.m), val
+            best_x, best_val = as_solution_matrix(red, polished), val
     return SolveResult(
         x=best_x,
         value=best_val,

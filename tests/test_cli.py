@@ -259,6 +259,9 @@ def test_instance_meta_contract(tmp_path, demo_instance):
         [[0.0] * 6, [0.0] * 6],
         [None] * 12,
         ["a"] * 12,
+        ["0.5"] * 12,
+        [True] * 12,
+        [10**400] + [0.0] * 11,
     ],
 )
 def test_load_solution_matrix_rejects_bad_x(tmp_path, demo_instance, x):
@@ -275,7 +278,15 @@ def test_load_solution_matrix_rejects_missing_x(tmp_path, demo_instance):
         serde.load_solution_matrix(path, demo_instance)
 
 
-@pytest.mark.parametrize("x", ["[NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "[0, 0, 0]"])
+@pytest.mark.parametrize(
+    "x",
+    [
+        "[NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]",
+        "[0, 0, 0]",
+        pytest.param(json.dumps(["0.5"] * 12), id="strings"),
+        pytest.param(json.dumps([10**400] + [0] * 11), id="401-digit-integer"),
+    ],
+)
 def test_decode_bad_solution_is_usage_error(capsys, tmp_path, mcp_file, tp_file, x):
     inst = str(tmp_path / "inst.json")
     run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
@@ -413,3 +424,17 @@ def test_non_object_instance_file_is_usage_error(capsys, tmp_path, text):
     code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
     assert code == 1 and out == "" and "penlq: error" in err
     assert not sol.exists()
+
+
+def test_certify_reads_a_long_inline_partition(capsys, tmp_path, mcp_file):
+    # the inline JSON is longer than a file name may be; it must not be
+    # taken for a path
+    tp = tmp_path / "tp30.json"
+    tp.write_text(json.dumps({"m": 30, "b": [1, 2, 3] * 30}))
+    inst = str(tmp_path / "inst30.json")
+    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
+               "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
+    partition = json.dumps([[3 * j + 1, 3 * j + 2, 3 * j + 3] for j in range(30)])
+    assert len(partition) > 255
+    code, out, err = run(capsys, "certify", "--in", inst, "--partition", partition)
+    assert (code, err) == (0, "") and json.loads(out)["optimal"] is True

@@ -35,25 +35,95 @@ def test_round_small_perturbation_keeps_columns(demo_instance, demo_certificate)
     assert np.array_equal(rounded.y, demo_certificate)
 
 
+def _rounding_failure(red, x) -> str:
+    with pytest.raises(RoundingFailureError) as info:
+        round_solution(red, x)
+    return str(info.value)
+
+
+_COUNT = "expected exactly one entry within 0.0125 of t_star = 0.695674, found"
+_STRAY = "is neither within 0.00625 of 0 nor within 0.0125 of t_star"
+
+
 def test_round_rejects_double_spike(demo_instance, demo_certificate):
     bad = demo_certificate.copy()
     bad[0, 1] = demo_instance.t_star  # second spike in row 1
-    with pytest.raises(RoundingFailureError, match="row 1"):
-        round_solution(demo_instance, bad)
+    assert _rounding_failure(demo_instance, bad) == f"row 1: {_COUNT} 2"
 
 
 def test_round_rejects_empty_row(demo_instance, demo_certificate):
     bad = demo_certificate.copy()
     bad[2, :] = 0.0
-    with pytest.raises(RoundingFailureError, match="row 3"):
-        round_solution(demo_instance, bad)
+    assert _rounding_failure(demo_instance, bad) == f"row 3: {_COUNT} 0"
 
 
 def test_round_rejects_dead_zone_entry(demo_instance, demo_certificate):
     bad = demo_certificate.copy()
     bad[4, 0] = demo_instance.t_star / 2.0  # neither near 0 nor near t_star
-    with pytest.raises(RoundingFailureError, match=r"row 5"):
-        round_solution(demo_instance, bad)
+    assert _rounding_failure(demo_instance, bad) == f"row 5: entry x[5,1] = 0.347837 {_STRAY}"
+
+
+def test_round_names_the_first_failing_row(demo_instance, demo_certificate):
+    bad = demo_certificate.copy()
+    bad[1, 1] = demo_instance.t_star / 2.0  # stray entry in row 2
+    bad[5, :] = 0.0  # and no spike in row 6
+    assert _rounding_failure(demo_instance, bad) == f"row 2: entry x[2,2] = 0.347837 {_STRAY}"
+
+
+def test_round_reports_the_count_before_a_stray_in_one_row(demo_instance, demo_certificate):
+    bad = demo_certificate.copy()
+    bad[3, :] = [demo_instance.t_star / 2.0, 0.0]  # row 4: no spike and a stray entry
+    assert _rounding_failure(demo_instance, bad) == f"row 4: {_COUNT} 0"
+
+
+def _planted(m: int, rng) -> tuple[ThreePartitionInstance, list[list[int]]]:
+    """m shuffled triples of items in 1e5..1e6, each triple summing to 1.2e6."""
+    items = []
+    for _ in range(m):
+        pair = [int(v) for v in rng.integers(100_000, 400_001, size=2)]
+        items += pair + [1_200_000 - sum(pair)]
+    order = rng.permutation(3 * m)  # item order[k] + 1 holds items[k]
+    b = np.zeros(3 * m, dtype=np.int64)
+    b[order] = items
+    subsets = [sorted(int(i) + 1 for i in order[3 * j : 3 * j + 3]) for j in range(m)]
+    return ThreePartitionInstance(m=m, b=tuple(b.tolist())), subsets
+
+
+def _large_m_cases(specs):
+    rng = np.random.default_rng(29)
+    for m in (4, 6):
+        tp, subsets = _planted(m, rng)
+        for spec in specs.values():
+            for q in (1.0, 2.0):
+                yield build(tp, spec, q=q, lam=1.0), subsets
+    tp = ThreePartitionInstance(m=30, b=(1, 2, 3) * 30)
+    yield build(tp, specs["mcp"], q=2.0, lam=1.0), [[3 * j + 1, 3 * j + 2, 3 * j + 3]
+                                                    for j in range(30)]
+
+
+def test_decode_round_trip_at_large_m(specs):
+    for red, subsets in _large_m_cases(specs):
+        partition = decide(red, encode_certificate(red, subsets))
+        assert partition is not None
+        assert partition.subsets == tuple(tuple(s) for s in subsets)
+        assert set(partition.subset_sums) == {red.tp.target_sum}
+
+
+def test_round_failures_name_the_row_at_large_m(specs):
+    for red, subsets in _large_m_cases(specs):
+        cert = encode_certificate(red, subsets)
+        i = red.n - 2
+        owner = next(j for j, s in enumerate(subsets) if i + 1 in s)
+        other = (owner + 1) % red.m
+        stray = cert.copy()
+        stray[i, other] = red.t_star / 2.0
+        assert _rounding_failure(red, stray).startswith(
+            f"row {i + 1}: entry x[{i + 1},{other + 1}] = "
+        )
+        emptied = cert.copy()
+        emptied[i, :] = 0.0
+        message = _rounding_failure(red, emptied)
+        assert message.startswith(f"row {i + 1}: expected exactly one") and message.endswith("found 0")
 
 
 def test_to_partition_reads_sums(demo_instance, demo_certificate):
