@@ -99,11 +99,14 @@ def decide(red: ReductionInstance, x) -> Partition | None:
     The verdict rests on the exact integer sums alone, so float error in
     F(x) cannot turn a verified partition away.  An x that does not decode
     although F(x) < bound + epsilon breaks the reduction's guarantee and
-    raises ReductionInvariantError.
+    raises ReductionInvariantError.  A non-finite x raises ValueError; no
+    such x rounds, so an accepted x is not checked for it.
     """
     try:
         partition = to_partition(red, round_solution(red, x))
     except RoundingFailureError as exc:
+        if not np.all(np.isfinite(as_solution_matrix(red, x))):
+            raise ValueError("decide: x must contain only finite numbers") from None
         failure = f"failed to round: {exc}"
     else:
         if all(total == red.tp.target_sum for total in partition.subset_sums):

@@ -193,8 +193,8 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     Shrinks the bracket until it is at most tol wide, or until a step
     leaves it no narrower (float resolution, so a tol below the spacing of
     floats near the minimizer still ends), and returns its midpoint; ties
-    (f(c) == f(d)) keep the right-hand part.  Shared by :func:`minimize_g`
-    and the descent line search in :mod:`penlq.solver`.
+    (f(c) == f(d)) keep the right-hand part.  The bracket search of
+    :func:`minimize_g`.
     """
     c = hi - _PHI_INV * (hi - lo)
     d = lo + _PHI_INV * (hi - lo)

@@ -211,9 +211,8 @@ class _Family:
     d1, d2  : p'(t) and p''(t) on arrays, for t > 0 off the kinks
     scalar  : returns the plain-float p of one float t >= 0, the same
               arithmetic as ``value`` without numpy
-    kinks   : points in (0, inf) where p' or p'' jumps
-    quadratic : p'' is constant between consecutive kinks on (0, inf),
-              so p is a polynomial of degree <= 2 on each piece
+    kinks   : points in (0, inf) where p' or p'' jumps; the descent line
+              search in :mod:`penlq.solver` cuts its interval at them
     band    : (tau, tau0, tau_hat).  The band [tau0, tau] must sit strictly
               inside a region where p is twice continuously differentiable,
               and tau0 must exceed the last bend so that p is
@@ -227,7 +226,6 @@ class _Family:
     scalar: Callable
     band: Callable
     kinks: Callable = lambda **params: ()
-    quadratic: bool = False
     joint: tuple[str, Callable] | None = None
 
 
@@ -257,7 +255,6 @@ _REGISTRY["l0"] = _Family(
     d2=_zero,
     scalar=lambda: lambda t: 1.0 if t > 0 else 0.0,
     band=lambda: (1.0, 0.6, 0.7),
-    quadratic=True,
 )
 
 # Bridge, fraction, log and linear are smooth and concave on all of
@@ -279,7 +276,6 @@ _REGISTRY["hard_threshold"] = _Family(
     scalar=lambda gamma: lambda t: gamma * gamma - max(gamma - t, 0.0) ** 2,
     kinks=lambda gamma: (gamma,),
     band=lambda gamma: _band(gamma / 2.0),
-    quadratic=True,
 )
 
 
@@ -312,7 +308,6 @@ _REGISTRY["scad"] = _Family(
     scalar=_scad_scalar,
     kinks=lambda gamma, a: (gamma, a * gamma),
     band=lambda gamma, a: _band(2.0 * gamma),
-    quadratic=True,
 )
 
 
@@ -331,7 +326,6 @@ _REGISTRY["mcp"] = _Family(
     scalar=_mcp_scalar,
     kinks=lambda gamma, b: (b * gamma,),
     band=lambda gamma, b: _band(0.8 * min(gamma, b * gamma)),
-    quadratic=True,
 )
 
 # p is linear below the breakpoint a, so tau0 = 1.5*a clears that bend.
@@ -344,7 +338,6 @@ _REGISTRY["piecewise_linear"] = _Family(
     scalar=lambda k1, k2, a: lambda t: k1 * t if t <= a else k2 * t + (k1 - k2) * a,
     kinks=lambda k1, k2, a: (a,),
     band=lambda k1, k2, a: _band(2.0 * a),
-    quadratic=True,
 )
 
 _REGISTRY["fraction"] = _Family(
@@ -378,7 +371,6 @@ _REGISTRY["linear"] = _Family(
     d2=_zero,
     scalar=lambda k: lambda t: k * t,
     band=lambda k: _band(1.0),
-    quadratic=True,
 )
 
 FAMILIES = tuple(_REGISTRY)

@@ -15,8 +15,9 @@ there; on other instances it upper-bounds the optimum over the structured
 family only.  :func:`local_descent` is a generic derivative-free polisher
 (the penalties have kinks and the l0 indicator is discontinuous, so it
 minimizes one-dimensional restrictions instead of following gradients).
-Where the restriction's shape is known from q and the penalty family it
-takes the best of a few candidate points; elsewhere it uses golden section.
+Its one line search, for every q and penalty family, cuts the trust
+interval where the restriction may bend or jump and takes the best piece
+end or, at q > 1, fitted vertex.
 :func:`solve` polishes only solutions that are not already certified
 optimal.
 """
@@ -30,8 +31,7 @@ import numpy as np
 
 from .decode import decide
 from .errors import SizeGuardError, _is_real, _require_count
-from .gfun import _golden_min
-from .penalties import _REGISTRY, _float_eval, kink_points
+from .penalties import _float_eval, kink_points
 from .reduction import (
     ProblemInstance, ReductionInstance, _certificate, as_solution_matrix, objective, optimal_bound,
 )
@@ -127,13 +127,15 @@ def _piecewise_min(phi, lo: float, hi: float, cuts, fit: bool) -> tuple[float, f
     """Best candidate v in [lo, hi] for phi, with phi(v).
 
     ``cuts`` split [lo, hi] into pieces (cut points outside it are ignored).
-    With fit False phi must be concave on every piece, so its minimum sits
-    at a piece end and the ends are the candidates.  With fit True phi must
-    be a quadratic on the interior of every piece: each piece adds its
-    vertex, fitted through three interior points, when that quadratic is
-    convex and the vertex lies inside the piece.  Only interior points enter
-    the fit, so a jump of phi at a cut (l0 at 0) cannot distort it.  Ties
-    keep the leftmost candidate.
+    The candidates are the piece ends; with fit True each piece also offers
+    the vertex of the parabola through three of its interior points, when
+    that parabola is convex and the vertex lies inside the piece.  Where phi
+    is concave on a piece, one of its ends is its minimum; where phi is a
+    quadratic on a piece's interior, the vertex is.  On any other piece the
+    vertex is an estimate, accepted only if it lowers phi below every
+    candidate before it.  Only interior points enter the fit, so a jump of
+    phi at a cut (l0 at 0) cannot distort it.  Ties keep the leftmost
+    candidate.
     """
     ends = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
     best, best_value = lo, phi(lo)
@@ -155,37 +157,6 @@ def _piecewise_min(phi, lo: float, hi: float, cuts, fit: bool) -> tuple[float, f
     return best, best_value
 
 
-def _line_search(q: float, penalty):
-    """The line search for phi_k, chosen from q and the penalty family alone.
-
-    Returns search(phi, x_k, step, r, rows, vals) -> (v, phi(v)) with v in
-    [x_k - step, x_k + step]:
-
-    - q = 1: p(|v|) is concave on each side of 0 and each |r_i + (v - x_k)
-      a_ik| is linear on each side of its zero, so phi_k is concave between
-      0 and the residual zeros x_k - r_i/a_ik; the best piece end wins.
-    - q = 2 and p quadratic between its kinks (l0, hard_threshold, scad,
-      mcp, piecewise_linear, linear): phi_k is a quadratic between 0 and the
-      kinks +-kappa; the best piece end or fitted vertex wins.
-    - otherwise: golden section down to width 1e-10.
-    """
-    if q == 1:
-        def search(phi, xk, step, r, rows, vals):
-            zeros = [xk - r[i] / a for i, a in zip(rows, vals)]
-            return _piecewise_min(phi, xk - step, xk + step, [0.0, *zeros], fit=False)
-    elif q == 2 and _REGISTRY[penalty.family].quadratic:
-        kinks = kink_points(penalty)
-        cuts = [0.0, *kinks, *(-kappa for kappa in kinks)]
-
-        def search(phi, xk, step, r, rows, vals):
-            return _piecewise_min(phi, xk - step, xk + step, cuts, fit=True)
-    else:
-        def search(phi, xk, step, r, rows, vals):
-            v = _golden_min(phi, xk - step, xk + step, 1e-10)
-            return v, phi(v)
-    return search
-
-
 def local_descent(
     problem: ProblemInstance,
     x0,
@@ -193,15 +164,20 @@ def local_descent(
     max_iters: int = 50,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Coordinate-wise descent with line searches chosen by the restriction's shape.
+    """Coordinate-wise descent with one piecewise line search.
 
     Each sweep minimizes, coordinate by coordinate, the one-dimensional
     restriction phi_k of the objective over the trust interval
-    [x_k - step, x_k + step].  At q = 1, and at q = 2 for a penalty that
-    is quadratic between its kinks, phi_k is concave or quadratic between
-    known cut points, and the best of a few candidate points is taken;
-    every other (q, family) pair uses golden section down to width 1e-10
-    (:func:`_line_search`).  The residuals r = A x - target are cached as
+    [x_k - step, x_k + step].  The interval is cut at 0, at the penalty's
+    kinks +-kappa and at the residual zeros x_k - r_i/a_ik, and the best
+    piece end or, at q > 1, fitted vertex wins (:func:`_piecewise_min`).
+    p is concave on each side of 0 and each |r_i + (v - x_k)*a_ik| is
+    linear on each side of its zero, so at q = 1 phi_k is concave on every
+    piece and the best piece end is the interval minimum.  At q = 2 with a
+    penalty that is quadratic between its kinks (l0, hard_threshold, scad,
+    mcp, piecewise_linear, linear) phi_k is a quadratic on every piece and
+    its vertex is exact; elsewhere the vertex is an estimate, accepted only
+    if it lowers phi_k.  The residuals r = A x - target are cached as
     floats and recomputed from scratch at the start of every sweep, so a
     trial point costs only the nonzero rows of column k plus one penalty
     term (:func:`_restriction`); a move is taken only if it lowers that
@@ -230,7 +206,8 @@ def local_descent(
         columns.append((rows.tolist(), a[rows, k].tolist()))
     q, lam = problem.q, problem.lam
     pen = _float_eval(problem.penalty)
-    search = _line_search(q, problem.penalty)
+    kinks = kink_points(problem.penalty)
+    fixed_cuts = [0.0, *kinks, *(-kappa for kappa in kinks)]
 
     xs = x.tolist()
     current = problem.objective(x)
@@ -240,7 +217,10 @@ def local_descent(
         for k, (rows, vals) in enumerate(columns):
             xk = xs[k]
             phi = _restriction(r, rows, vals, xk, q, lam, pen)
-            candidate, value = search(phi, xk, step, r, rows, vals)
+            zeros = [xk - r[i] / v for i, v in zip(rows, vals)]
+            candidate, value = _piecewise_min(
+                phi, xk - step, xk + step, fixed_cuts + zeros, fit=q > 1
+            )
             if value < phi(xk):
                 shift = candidate - xk
                 for i, v in zip(rows, vals):

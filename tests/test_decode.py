@@ -167,6 +167,14 @@ def test_decide_unknown_above_threshold(demo_instance):
     assert decide(demo_instance, np.zeros((6, 2))) is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decide_rejects_non_finite_entries(demo_instance, demo_certificate, bad):
+    x = demo_certificate.copy()
+    x[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decide(demo_instance, x)
+
+
 def test_round_trip_identity_over_all_assignments(demo_instance):
     for assignment in itertools.product(range(2), repeat=6):
         subsets = [[], []]

@@ -18,7 +18,6 @@ from penlq import (
     p_eval,
 )
 from penlq.penalties import (
-    _REGISTRY,
     _float_eval,
     sampled_k_bound,
     spec_from_dict,
@@ -326,23 +325,3 @@ def test_float_eval_covers_every_family():
 def test_numpy_numbers_are_accepted_as_params():
     spec = PenaltySpec("mcp", {"gamma": np.float64(1.0), "b": np.int64(2)})
     assert spec == penlq.mcp(1.0, 2.0)
-
-
-def _d2_constant_between_kinks(spec) -> bool:
-    """Whether p'' takes one value on each piece between consecutive kinks
-    of (0, inf), sampled at interior points; the last piece runs to 10
-    beyond the last kink."""
-    ends = [0.0, *kink_points(spec)]
-    ends.append(ends[-1] + 10.0)
-    for left, right in zip(ends, ends[1:]):
-        d2 = p_d2(spec, np.linspace(left, right, 41)[1:-1])
-        if np.ptp(d2) != 0.0:
-            return False
-    return True
-
-
-def test_quadratic_flag_marks_constant_curvature_between_kinks():
-    for name, spec in _FLOAT_EVAL_SPECS.items():
-        assert _REGISTRY[spec.family].quadratic == _d2_constant_between_kinks(spec), name
-    flagged = {family for family, record in _REGISTRY.items() if record.quadratic}
-    assert flagged == {"l0", "hard_threshold", "scad", "mcp", "piecewise_linear", "linear"}

@@ -17,9 +17,9 @@ from penlq import (
 )
 from penlq import solver
 from penlq.gfun import _golden_min
-from penlq.penalties import _REGISTRY, _float_eval
+from penlq.penalties import _float_eval, kink_points
 from penlq.reduction import ProblemInstance
-from penlq.solver import _half_weights, _line_search, _restriction
+from penlq.solver import _half_weights, _piecewise_min, _restriction
 
 from conftest import all_admissible_specs
 from oracles import (
@@ -124,12 +124,22 @@ def test_hybrid_never_worse_and_reproducible(demo_instance):
     assert a.seed == 11
 
 
-def test_hybrid_cannot_cross_separation_on_no_instance(mcp_spec):
-    tp = ThreePartitionInstance(m=2, b=(1, 1, 1, 5, 6, 6))
-    assert not three_partition_oracle(tp.m, tp.b)
-    red = build(tp, mcp_spec, q=2.0, lam=1.0)
-    result = solve(red, mode="hybrid", restarts=2, seed=0)
-    assert result.gap > red.epsilon
+@pytest.mark.parametrize("q", [1.5, 3.0])
+@pytest.mark.parametrize("name", sorted(all_admissible_specs()))
+def test_hybrid_cannot_cross_separation_on_no_instance(specs, name, q):
+    # the reverse direction: no x brings a no-instance below bound + epsilon,
+    # so descent, the library's adversary, must leave the gap above epsilon.
+    # The m = 2 no-instances keep the suite fast; every smallest gap/epsilon
+    # of the 8 families x q in {1.5, 3} sits at m = 2, the least at scad,
+    # q = 3 (1,038 with seed 0).
+    ratios = []
+    for m, b in (case for case in NO_INSTANCES if case[0] == 2):
+        assert not three_partition_oracle(m, b)
+        red = build(ThreePartitionInstance(m=m, b=b), specs[name], q=q, lam=1.0)
+        result = solve(red, mode="hybrid", restarts=2, seed=0)
+        assert result.gap >= red.epsilon, (b, result.gap, red.epsilon)
+        ratios.append(result.gap / red.epsilon)
+    assert min(ratios) > 1000.0, ratios
 
 
 def test_solve_rejects_bad_budget(demo_instance):
@@ -308,19 +318,33 @@ _LINE_SEARCH_SPECS = {
     "scad_wide": penlq.scad(0.5, 3.7),
     "mcp_wide": penlq.mcp(2.0, 1.5),
 }
+# p'' is constant between the kinks of these families, so at q = 2 phi_k is
+# a quadratic on every piece
+_QUADRATIC_BETWEEN_KINKS = {"l0", "hard_threshold", "scad", "mcp", "piecewise_linear", "linear"}
 _SHAPED = [
     (name, q)
     for name, spec in sorted(_LINE_SEARCH_SPECS.items())
     for q in (1.0, 2.0)
-    if q == 1.0 or _REGISTRY[spec.family].quadratic
+    if q == 1.0 or spec.family in _QUADRATIC_BETWEEN_KINKS
+]
+_ESTIMATED = [
+    (name, q)
+    for name, spec in sorted(_LINE_SEARCH_SPECS.items())
+    for q in (1.5, 2.0, 3.0)
+    if q != 2.0 or spec.family not in _QUADRATIC_BETWEEN_KINKS
 ]
 
 
-@pytest.mark.parametrize(("name", "q"), _SHAPED)
-def test_shaped_line_search_finds_the_interval_minimum(name, q):
-    spec = _LINE_SEARCH_SPECS[name]
+def _cuts(spec, xk, r, vals):
+    """The cut points local_descent gives the line search: 0, the kinks
+    +-kappa and the residual zeros."""
+    kinks = kink_points(spec)
+    return [0.0, *kinks, *(-kappa for kappa in kinks), *(xk - ri / a for ri, a in zip(r, vals))]
+
+
+def _random_restrictions(spec, q):
+    """(phi, x_k, step, r, vals, lam) for random one-column restrictions."""
     pen = _float_eval(spec)
-    search = _line_search(q, spec)
     rng = np.random.default_rng(17)
     for trial in range(30):
         rows = int(rng.integers(1, 5))
@@ -331,7 +355,15 @@ def test_shaped_line_search_finds_the_interval_minimum(name, q):
         step = float(rng.choice([1e-3, 0.05, 0.4, 1.5]))
         lam = float(rng.uniform(0.1, 5.0))
         phi = _restriction(r, list(range(rows)), vals, xk, q, lam, pen)
-        v, value = search(phi, xk, step, r, list(range(rows)), vals)
+        yield phi, xk, step, r, vals, lam
+
+
+@pytest.mark.parametrize(("name", "q"), _SHAPED)
+def test_shaped_line_search_finds_the_interval_minimum(name, q):
+    spec = _LINE_SEARCH_SPECS[name]
+    for trial, (phi, xk, step, r, vals, _) in enumerate(_random_restrictions(spec, q)):
+        cuts = _cuts(spec, xk, r, vals)
+        v, value = _piecewise_min(phi, xk - step, xk + step, cuts, fit=q > 1)
         assert xk - step <= v <= xk + step
         assert value == phi(v)
         grid = min(phi(t) for t in np.linspace(xk - step, xk + step, 2001).tolist())
@@ -341,19 +373,29 @@ def test_shaped_line_search_finds_the_interval_minimum(name, q):
         assert value <= golden + slack, (trial, value, golden)
 
 
-def test_other_pairs_keep_golden_section():
-    spec = penlq.bridge(0.5)
-    phi = _restriction([0.3], [0], [1.0], 0.2, 1.5, 1.0, _float_eval(spec))
-    for q, family_spec in ((1.5, spec), (2.0, spec), (3.0, penlq.mcp())):
-        v, value = _line_search(q, family_spec)(phi, 0.2, 0.1, [0.3], [0], [1.0])
-        assert v == _golden_min(phi, 0.1, 0.3, 1e-10) and value == phi(v)
+@pytest.mark.parametrize(("name", "q"), _ESTIMATED)
+def test_estimated_vertex_never_loses_to_a_piece_end(name, q):
+    # where phi_k is not a quadratic on its pieces the fitted vertex is only
+    # an estimate: one sweep over a one-column problem must still leave x_k
+    # no worse than every piece end and than x_k itself
+    spec = _LINE_SEARCH_SPECS[name]
+    for trial, (phi, xk, step, r, vals, lam) in enumerate(_random_restrictions(spec, q)):
+        a = np.array(vals)[:, None]
+        problem = ProblemInstance(a, a[:, 0] * xk - np.array(r), lam, q, spec)
+        (v,) = local_descent(problem, [xk], step=step, max_iters=1).tolist()
+        lo, hi = xk - step, xk + step
+        assert lo <= v <= hi
+        # the sweep rebuilds r from A x - target, so phi agrees to rounding
+        for end in [lo, hi, xk, *(c for c in _cuts(spec, xk, r, vals) if lo < c < hi)]:
+            assert phi(v) <= phi(end) + 1e-12 * max(1.0, abs(phi(end))), (trial, v, end)
 
 
 def test_l0_line_search_lands_on_zero():
     # phi = |x - 0.05|^2 + p(|x|): the jump at 0 is worth 1, so 0 beats the
     # vertex at 0.05, which the fit sees only through interior points
     phi = _restriction([0.05], [0], [1.0], 0.1, 2.0, 1.0, _float_eval(penlq.l0()))
-    v, value = _line_search(2.0, penlq.l0())(phi, 0.1, 0.2, [0.05], [0], [1.0])
+    cuts = _cuts(penlq.l0(), 0.1, [0.05], [1.0])
+    v, value = _piecewise_min(phi, -0.1, 0.3, cuts, fit=True)
     assert v == 0.0 and value == pytest.approx(0.0025, abs=1e-15)
 
 
