@@ -322,6 +322,22 @@ def test_float_eval_covers_every_family():
     assert {spec.family for spec in _FLOAT_EVAL_SPECS.values()} == set(penlq.FAMILIES)
 
 
+@pytest.mark.parametrize("name", sorted(_FLOAT_EVAL_SPECS))
+def test_chord_slope_from_zero_never_rises(name):
+    # p(t) >= (t/s)*p(s) for 0 < t <= s: the zero screen of local_descent
+    # bounds lam*p(|v|) below by |v|*lam*p(step)/step on the trust interval.
+    # The absolute slack covers cancellation in gamma**2 - (gamma - t)**2.
+    spec = _FLOAT_EVAL_SPECS[name]
+    p = _float_eval(spec)
+    fractions = np.concatenate([np.logspace(-9, -2, 8), np.linspace(0.05, 1.0, 20)])
+    for s in np.logspace(-6, 3, 46).tolist():
+        t = s * fractions
+        for ps, pt in ((p_eval(spec, s), p_eval(spec, t)), (p(s), np.array([p(v) for v in t]))):
+            chord = t / s * ps
+            slack = 1e-12 * np.abs(chord) + 1e-15
+            assert np.all(pt >= chord - slack), (s, t[pt < chord - slack])
+
+
 def test_numpy_numbers_are_accepted_as_params():
     spec = PenaltySpec("mcp", {"gamma": np.float64(1.0), "b": np.int64(2)})
     assert spec == penlq.mcp(1.0, 2.0)

@@ -17,7 +17,7 @@ from penlq import (
 )
 from penlq import solver
 from penlq.gfun import _golden_min
-from penlq.penalties import _float_eval, kink_points
+from penlq.penalties import _float_eval, kink_points, p_eval
 from penlq.reduction import ProblemInstance
 from penlq.solver import _half_weights, _piecewise_min, _restriction
 
@@ -218,11 +218,9 @@ def test_restriction_matches_full_objective_difference(mcp_spec, b):
         k = int(rng.integers(problem.cols))
         v = x[k] + rng.uniform(-1.0, 1.0)
         rows = np.flatnonzero(problem.a_matrix[:, k])
-        residuals = (problem.a_matrix @ x - problem.target).tolist()
-        phi = _restriction(
-            residuals, rows.tolist(), problem.a_matrix[rows, k].tolist(),
-            float(x[k]), problem.q, problem.lam, pen,
-        )
+        residuals = (problem.a_matrix @ x - problem.target)[rows]
+        terms = list(zip(residuals.tolist(), problem.a_matrix[rows, k].tolist()))
+        phi = _restriction(terms, float(x[k]), problem.q, problem.lam, pen)
         moved = x.copy()
         moved[k] = v
         before = problem.objective(x)
@@ -335,11 +333,12 @@ _ESTIMATED = [
 ]
 
 
-def _cuts(spec, xk, r, vals):
+def _cuts(spec, xk, step, r, vals):
     """The cut points local_descent gives the line search: 0, the kinks
-    +-kappa and the residual zeros."""
+    +-kappa and the residual zeros inside the trust interval, sorted."""
     kinks = kink_points(spec)
-    return [0.0, *kinks, *(-kappa for kappa in kinks), *(xk - ri / a for ri, a in zip(r, vals))]
+    cuts = [0.0, *kinks, *(-kappa for kappa in kinks), *(xk - ri / a for ri, a in zip(r, vals))]
+    return sorted(c for c in cuts if xk - step < c < xk + step)
 
 
 def _random_restrictions(spec, q):
@@ -354,7 +353,7 @@ def _random_restrictions(spec, q):
         xk = float(rng.uniform(-2.5, 2.5)) if trial % 3 else float(rng.uniform(-0.3, 0.3))
         step = float(rng.choice([1e-3, 0.05, 0.4, 1.5]))
         lam = float(rng.uniform(0.1, 5.0))
-        phi = _restriction(r, list(range(rows)), vals, xk, q, lam, pen)
+        phi = _restriction(list(zip(r, vals)), xk, q, lam, pen)
         yield phi, xk, step, r, vals, lam
 
 
@@ -362,7 +361,7 @@ def _random_restrictions(spec, q):
 def test_shaped_line_search_finds_the_interval_minimum(name, q):
     spec = _LINE_SEARCH_SPECS[name]
     for trial, (phi, xk, step, r, vals, _) in enumerate(_random_restrictions(spec, q)):
-        cuts = _cuts(spec, xk, r, vals)
+        cuts = _cuts(spec, xk, step, r, vals)
         v, value = _piecewise_min(phi, xk - step, xk + step, cuts, fit=q > 1)
         assert xk - step <= v <= xk + step
         assert value == phi(v)
@@ -386,17 +385,106 @@ def test_estimated_vertex_never_loses_to_a_piece_end(name, q):
         lo, hi = xk - step, xk + step
         assert lo <= v <= hi
         # the sweep rebuilds r from A x - target, so phi agrees to rounding
-        for end in [lo, hi, xk, *(c for c in _cuts(spec, xk, r, vals) if lo < c < hi)]:
+        for end in [lo, hi, xk, *_cuts(spec, xk, step, r, vals)]:
             assert phi(v) <= phi(end) + 1e-12 * max(1.0, abs(phi(end))), (trial, v, end)
 
 
 def test_l0_line_search_lands_on_zero():
     # phi = |x - 0.05|^2 + p(|x|): the jump at 0 is worth 1, so 0 beats the
     # vertex at 0.05, which the fit sees only through interior points
-    phi = _restriction([0.05], [0], [1.0], 0.1, 2.0, 1.0, _float_eval(penlq.l0()))
-    cuts = _cuts(penlq.l0(), 0.1, [0.05], [1.0])
+    phi = _restriction([(0.05, 1.0)], 0.1, 2.0, 1.0, _float_eval(penlq.l0()))
+    cuts = _cuts(penlq.l0(), 0.1, 0.2, [0.05], [1.0])
     v, value = _piecewise_min(phi, -0.1, 0.3, cuts, fit=True)
     assert v == 0.0 and value == pytest.approx(0.0025, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The zero screen: line searches skipped at x_k = 0
+# ---------------------------------------------------------------------------
+
+
+def _zero_restrictions(spec, q):
+    """(phi, terms, step, lam, slope) for random one-column restrictions at x_k = 0,
+    with slope = lam*p(step)/step as local_descent computes it.  Every third
+    case has a residual at exactly 0, and every other case sets lam so that
+    slope exceeds the fit slope G by a relative 1e-9 or 1e-3 only."""
+    pen = _float_eval(spec)
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        rows = int(rng.integers(1, 5))
+        r = rng.uniform(-1.0, 1.0, size=rows) * float(rng.choice([1e-3, 0.1, 1.0]))
+        if trial % 3 == 0:
+            r[0] = 0.0
+        vals = rng.uniform(0.2, 3.0, size=rows) * rng.choice([-1.0, 1.0], size=rows)
+        step = float(rng.choice([1e-3, 0.05, 0.4, 1.5]))
+        fit_slope = abs(float(np.sum(q * np.abs(r) ** (q - 1.0) * np.sign(r) * vals)))
+        lam = float(rng.uniform(0.1, 5.0))
+        if trial % 2 and fit_slope > 0.0:
+            lam = fit_slope * (1.0 + float(rng.choice([1e-9, 1e-3]))) * step / pen(step)
+        terms = list(zip(r.tolist(), vals.tolist()))
+        yield _restriction(terms, 0.0, q, lam, pen), terms, step, lam, lam * pen(step) / step
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_SEARCH_SPECS))
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_zero_screen_fires_only_where_no_move_lowers_phi(name, q):
+    spec = _LINE_SEARCH_SPECS[name]
+    fired = 0
+    for phi, terms, step, lam, slope in _zero_restrictions(spec, q):
+        if not solver._stays_at_zero(terms, q, slope):
+            continue
+        fired += 1
+        at_zero = phi(0.0)
+        slack = 1e-12 * max(1.0, abs(at_zero))
+        r, vals = zip(*terms)
+        # phi on the grid, vectorized: it agrees with phi to rounding
+        v = np.linspace(-step, step, 2001)
+        fit = np.abs(np.array(r)[:, None] + np.outer(vals, v)) ** q
+        grid = float(np.min(fit.sum(axis=0) + lam * p_eval(spec, np.abs(v))))
+        assert grid >= at_zero - slack, (terms, step, grid, at_zero)
+        cuts = _cuts(spec, 0.0, step, r, vals)
+        _, value = _piecewise_min(phi, -step, step, cuts, fit=q > 1)
+        assert value >= at_zero - slack, (terms, step, value, at_zero)
+    assert fired >= 5  # the check is not vacuous
+
+
+def _restart_outputs(monkeypatch, red, seed):
+    """The x each descent restart of one hybrid solve returns."""
+    outputs = []
+
+    def recording(*args, **kwargs):
+        outputs.append(local_descent(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(solver, "local_descent", recording)
+    solve(red, mode="hybrid", restarts=2, seed=seed)
+    return outputs
+
+
+# The hybrid benchmark's four no-instance cases, (penalty, q, no-instance)
+_HYBRID_NO_CASES = [
+    (penlq.mcp(1.0, 1.0), 2.0, NO_INSTANCES[6]),
+    (penlq.scad(1.0, 3.0), 1.5, NO_INSTANCES[0]),
+    (penlq.log_penalty(1.0), 1.0, NO_INSTANCES[5]),
+    (penlq.l0(), 2.0, NO_INSTANCES[3]),
+]
+
+
+@pytest.mark.parametrize(("spec", "q", "instance"), _HYBRID_NO_CASES)
+def test_zero_screen_leaves_hybrid_restarts_unchanged(monkeypatch, spec, q, instance):
+    # an always-false screen runs every line search, as descent did before the
+    # screen.  The outputs can differ only where the unscreened search takes a
+    # rounding-sized move that the screen proves uphill: log q=1 does at seed 9
+    m, b = instance
+    red = build(ThreePartitionInstance(m=m, b=b), spec, q=q, lam=1.0)
+    for seed in (0, 3):
+        screened = _restart_outputs(monkeypatch, red, seed)
+        monkeypatch.setattr(solver, "_stays_at_zero", lambda *args: False)
+        unscreened = _restart_outputs(monkeypatch, red, seed)
+        monkeypatch.undo()
+        assert len(screened) == len(unscreened) == 2
+        for ours, theirs in zip(screened, unscreened):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 # ---------------------------------------------------------------------------
