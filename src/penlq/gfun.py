@@ -129,18 +129,22 @@ def _dyadic_root_ceil(coef: float, lam: float, q: float, grid_exp: int) -> float
 
     The test is made on r**q / lam as computed, the very expression that
     becomes the coefficient, so float rounding can never leave the
-    coefficient below coef.
+    coefficient below coef.  A step below r's ulp goes to the adjacent float,
+    still on the grid.  Raises ValueError when root * 2**grid_exp overflows.
     """
     if coef <= 0.0:
         return 0.0
-    scale = 2.0**grid_exp
-    k = math.ceil((lam * coef) ** (1.0 / q) * scale)
-    # float rounding in the q-th root can leave k off by one either way
-    while (k / scale) ** q / lam < coef:
-        k += 1
-    while k > 1 and ((k - 1) / scale) ** q / lam >= coef:
-        k -= 1
-    return k / scale
+    step = 2.0**-grid_exp
+    scaled = (lam * coef) ** (1.0 / q) / step
+    if not math.isfinite(scaled):
+        raise ValueError(f"coefficient root of {coef!r} at lambda {lam!r} overflows the grid")
+    r = math.ceil(scaled) * step
+    # float rounding in the q-th root can leave r a step off either way
+    while r**q / lam < coef:
+        r = max(r + step, math.nextafter(r, math.inf))
+    while r > step and (down := min(r - step, math.nextafter(r, 0.0))) ** q / lam >= coef:
+        r = down
+    return r
 
 
 def rationalize(

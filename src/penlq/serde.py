@@ -1,8 +1,8 @@
 """JSON file formats for penalties, instances and solutions.
 
-All artifacts are JSON text so test runs can diff them.  Floats are printed
-with 17 significant digits, which round-trips IEEE doubles exactly and makes
-output byte-identical across runs for identical inputs.
+All artifacts are strict JSON from ``json.dumps`` so test runs can diff them:
+floats in their shortest round-trip form, byte-identical across runs for
+identical inputs.  NaN and +-inf raise ValueError, and no file is written.
 
 Penalty file:   {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}
 3-partition:    {"m": 2, "b": [1, 2, 3, 1, 2, 3]}  (or wrapped under "tp")
@@ -30,21 +30,8 @@ from .solver import SolveResult
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with floats at 17 significant digits."""
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    return json.dumps(obj)
+    """Serialize to strict JSON; raises ValueError for NaN or +-inf."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def write_json(path, obj) -> None:
@@ -76,8 +63,8 @@ def instance_to_dict(red: ReductionInstance) -> dict:
     return {
         "rows": problem.rows,
         "cols": problem.cols,
-        "A": [float(v) for v in problem.a_matrix.reshape(-1)],
-        "target": [float(v) for v in problem.target],
+        "A": problem.a_matrix.reshape(-1).tolist(),
+        "target": problem.target.tolist(),
         "lambda": problem.lam,
         "q": problem.q,
         "meta": {
@@ -137,7 +124,7 @@ def load_instance(path) -> ReductionInstance:
 
 def solution_to_dict(result: SolveResult) -> dict:
     return {
-        "x": [float(v) for v in result.x.reshape(-1)],
+        "x": result.x.reshape(-1).tolist(),
         "value": result.value,
         "gap": result.gap,
         "assignments_explored": result.assignments_explored,

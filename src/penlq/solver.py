@@ -26,6 +26,7 @@ optimal.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,8 +117,11 @@ def _restriction(terms, xk: float, q: float, lam: float, pen):
     def phi(v: float) -> float:
         shift = v - xk
         total = lam * pen(abs(v))
-        for ri, a in terms:
-            total += abs(ri + shift * a) ** q
+        try:
+            for ri, a in terms:
+                total += abs(ri + shift * a) ** q
+        except OverflowError:  # float ** raises where numpy would give inf
+            return math.inf
         return total
 
     return phi
@@ -145,11 +149,14 @@ def _stays_at_zero(terms, q: float, slope: float) -> bool:
     search could then only take a move that exact arithmetic calls uphill.
     """
     g = scale = 0.0
-    for ri, a in terms:
-        if ri:
-            d = q * abs(ri) ** (q - 1.0) * a
-            g += d if ri > 0.0 else -d
-            scale += abs(d)
+    try:
+        for ri, a in terms:
+            if ri:
+                d = q * abs(ri) ** (q - 1.0) * a
+                g += d if ri > 0.0 else -d
+                scale += abs(d)
+    except OverflowError:  # no finite bound on the fit slope: search
+        return False
     return abs(g) + _SCREEN_MARGIN * (scale + slope) < slope
 
 
@@ -294,25 +301,23 @@ def solve(
 ) -> SolveResult:
     """Structured enumeration, optionally polished by local descent.
 
-    mode "structured" returns :func:`minimize_structured` unchanged.  mode
-    "hybrid" returns it too, with ``seed`` echoed, when ``restarts`` is 0 or
+    mode "structured" returns :func:`minimize_structured` with ``seed``
+    echoed.  mode "hybrid" returns it too when ``restarts`` is 0 or
     :func:`penlq.decode.decide` accepts its solution: by the reduction's
     forward direction an equal-sum certificate attains the global bound
     n*lam*h, so descent could move F by rounding only.  Otherwise hybrid
     runs ``restarts`` descent passes: the first from the best structured
     solution, the rest from seeded perturbations of it; the returned value
     is never worse than the structured one.  Reproducible for a fixed seed;
-    structured mode is seed-independent.  Raises ValueError unless restarts
-    and seed are non-negative integers.
+    the structured solution does not depend on it.  Raises ValueError
+    unless restarts and seed are non-negative integers.
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_count("restarts", restarts, 0)
     _require_count("seed", seed, 0)
     base = minimize_structured(red)
-    if mode == "structured":
-        return base
-    if restarts == 0 or decide(red, base.x) is not None:
+    if mode == "structured" or restarts == 0 or decide(red, base.x) is not None:
         return replace(base, seed=seed)
 
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,10 +212,62 @@ def test_instance_file_tamper_detection(tmp_path, demo_instance):
         serde.load_instance(path)
 
 
-def test_dumps_17_digit_round_trip():
+def test_dumps_shortest_round_trip():
     values = [0.00625, 3.90625e-05, 273.4 / 393, 0.9413231552162851, 1.0, -0.0]
     text = serde.dumps({"values": values})
     assert json.loads(text)["values"] == values
+    assert "0.00625," in text and "-0.0]" in text
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        serde.dumps({"x": [1.0, value]})
+
+
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_verb_writes_strict_json(capsys, tmp_path, mcp_file, linear_file, tp_file):
+    inst, sol, hyb = (str(tmp_path / name) for name in ("i.json", "s.json", "h.json"))
+    runs = [
+        (0, "penalty", "check", "--spec", mcp_file, "--grid", "200"),
+        (2, "penalty", "check", "--spec", linear_file, "--grid", "200"),
+        (0, "penalty", "fuzz", "--spec", mcp_file, "--trials", "50"),
+        (0, "gfun", "analyze", "--spec", mcp_file, "--q", "2", "--lambda", "1"),
+        (0, "reduce", "build", "--in", tp_file, "--spec", mcp_file, "--q", "2",
+         "--lambda", "1", "--out", inst),
+        (0, "certify", "--in", inst, "--partition", "[[1,2,3],[4,5,6]]"),
+        (0, "solve", "--in", inst, "--out", sol),
+        (0, "solve", "--in", inst, "--mode", "hybrid", "--restarts", "2", "--seed", "3",
+         "--out", hyb),
+        (0, "decode", "--in", inst, "--sol", sol),
+        (0, "demo"),
+    ]
+    for expected, *argv in runs:
+        code, out, _ = run(capsys, *argv)
+        assert code == expected, argv
+        _strict_loads(out.splitlines()[-1])
+    for path in (inst, sol, hyb):
+        _strict_loads(Path(path).read_text())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("mode", [["--mode", "structured"], ["--mode", "hybrid", "--restarts", "1"]])
+def test_overflowing_solve_is_usage_error(capsys, tmp_path, mcp_file, mode):
+    # |C_2 - C_1|**30 overflows, so the value is inf, which JSON cannot hold
+    tp = tmp_path / "huge.json"
+    tp.write_text(json.dumps({"m": 2, "b": [10**15, 1, 1, 1, 1, 2]}))
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file, "--q", "30",
+               "--lambda", "1", "--out", str(inst))[0] == 0
+    code, out, err = run(capsys, "solve", "--in", str(inst), *mode, "--out", str(sol))
+    assert code == 1 and out == "" and "penlq: error" in err and "Traceback" not in err
+    assert not sol.exists()
 
 
 def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file):
@@ -225,7 +278,6 @@ def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file
             "--q", "2", "--lambda", "1", "--out", inst)
         run(capsys, "solve", "--in", inst, "--mode", "hybrid", "--restarts", "2",
             "--seed", "5", "--out", sol)
-    from pathlib import Path
     assert Path(inst_a).read_bytes() == Path(inst_b).read_bytes()
     assert Path(sol_a).read_bytes() == Path(sol_b).read_bytes()
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from penlq import (
     rationalize,
     verify_g_shape,
 )
-from penlq.gfun import _full_analysis, _golden_min, full_analysis
+from penlq.gfun import _dyadic_root_ceil, _full_analysis, _golden_min, full_analysis
 
 from conftest import all_admissible_specs
 
@@ -130,6 +132,37 @@ def test_rationalize_rounding_never_undercuts(q):
                 assert params.mu >= mu_lo
             else:
                 assert params.theta >= 1.0 and params.mu >= mu_lo * params.theta
+
+
+@pytest.mark.parametrize(
+    "q, lam, grid_exp", [(2.0, 1e60, 20), (1.0, 1e20, 20), (1.0, 1000.0, 64)]
+)
+def test_full_analysis_roots_beyond_integer_resolution(mcp_spec, q, lam, grid_exp):
+    # root * 2**grid_exp exceeds 2**53, where a grid step is below r's ulp
+    _, params, ga = full_analysis(mcp_spec, q=q, lam=lam, grid_exp=grid_exp)
+    assert params.mu_root * 2.0**grid_exp > 2.0**53
+    if q == 1.0:
+        assert params.theta == 0.0 and params.mu >= ga.mu_lower
+    else:
+        assert params.theta >= ga.theta_lower and params.mu >= ga.mu_lower * params.theta
+
+
+def test_full_analysis_rejects_a_root_beyond_float_range(mcp_spec):
+    with pytest.raises(ValueError, match="overflows the grid"):
+        full_analysis(mcp_spec, q=1.0, lam=1e308)
+
+
+@pytest.mark.parametrize(
+    "coef, lam, q, grid_exp",
+    [(194.5, 1e60, 2.0, 20), (14.55, 1e20, 1.0, 20), (14.55, 1000.0, 1.0, 64),
+     (1.0, 1e30, 3.0, 64), (0.3, 7.7, 1.5, 0)],
+)
+def test_dyadic_root_ceil_is_the_smallest_grid_point(coef, lam, q, grid_exp):
+    step = 2.0**-grid_exp
+    r = _dyadic_root_ceil(coef, lam, q, grid_exp)
+    assert r / step == math.floor(r / step)
+    assert r**q / lam >= coef
+    assert min(r - step, math.nextafter(r, 0.0)) ** q / lam < coef
 
 
 def test_g_eval_at_anchor(mcp_spec):

@@ -108,11 +108,27 @@ def test_local_descent_never_increases(demo_instance):
 
 
 def test_hybrid_zero_restarts_equals_structured(demo_instance):
-    structured = solve(demo_instance, mode="structured")
+    structured = solve(demo_instance, mode="structured", seed=5)
     hybrid = solve(demo_instance, mode="hybrid", restarts=0, seed=1)
     assert np.array_equal(structured.x, hybrid.x)
     assert structured.value == hybrid.value
-    assert hybrid.seed == 1
+    assert structured.seed == 5 and hybrid.seed == 1
+    assert solve(demo_instance, mode="structured").seed == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_hybrid_survives_overflowing_terms(mcp_spec):
+    # |r|**30 overflows a float: descent must treat it as inf, not raise
+    red = build(ThreePartitionInstance(m=2, b=(10**15, 1, 1, 1, 1, 2)), mcp_spec, q=30.0, lam=1.0)
+    structured = solve(red, mode="structured")
+    hybrid = solve(red, mode="hybrid", restarts=1)
+    assert hybrid.value <= structured.value
+
+
+def test_overflowing_terms_read_as_inf():
+    terms = [(1e200, 1.0)]
+    assert _restriction(terms, 0.0, 30.0, 1.0, abs)(0.5) == float("inf")
+    assert not solver._stays_at_zero(terms, 30.0, 1.0)
 
 
 def test_hybrid_never_worse_and_reproducible(demo_instance):
