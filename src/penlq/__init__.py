@@ -67,7 +67,7 @@ from .reduction import (
     objective,
     optimal_bound,
 )
-from .solver import SolveResult, local_descent, minimize_structured, solve
+from .solver import SolveResult, minimize_structured, solve
 
 __version__ = "0.1.0"
 
@@ -111,7 +111,6 @@ __all__ = [
     "kink_points",
     "l0",
     "linear",
-    "local_descent",
     "log_penalty",
     "lower_bounds",
     "mcp",

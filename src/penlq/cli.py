@@ -151,7 +151,7 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     red = serde.load_instance(args.infile)
-    result = solver.solve(red, mode=args.mode, restarts=args.restarts, seed=args.seed)
+    result = solver.solve(red)
     serde.save_solution(args.out, result)
     _emit(
         {
@@ -205,7 +205,7 @@ def cmd_demo(args) -> int:
     cert_value = objective(red, encode_certificate(red, [[1, 2, 3], [4, 5, 6]]))
     print(f"certificate objective = {cert_value:.17g} "
           f"(gap {cert_value - optimal_bound(red):.3g})")
-    result = solver.solve(red, mode="structured")
+    result = solver.solve(red)
     print(f"structured solve: value = {result.value:.17g}, gap = {result.gap:.3g}, "
           f"assignments = {result.assignments_explored}")
     return _emit_verdict(decode.decide(red, result.x))
@@ -257,9 +257,6 @@ def build_parser() -> _Parser:
 
     solve_p = sub.add_parser("solve", help="desk-scale exact/structured solve")
     solve_p.add_argument("--in", dest="infile", required=True)
-    solve_p.add_argument("--mode", choices=("structured", "hybrid"), default="structured")
-    solve_p.add_argument("--restarts", type=int, default=0)
-    solve_p.add_argument("--seed", type=int, default=0)
     solve_p.add_argument("--out", required=True)
     solve_p.set_defaults(func=cmd_solve)
 

@@ -107,7 +107,9 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
            mu >= mu_lower * theta.
     q = 1: theta is forced to 0 and
            mu_lower = max(1 + p'(tau0), (p(tau_hat) + 1) / (tau_hat - tau0)).
-    Raises ValueError unless q is finite and at least 1.
+    Raises ValueError unless q is finite and at least 1, and, for q > 1,
+    unless both thresholds come out finite and positive (a power of tau0,
+    tau or |tau0 - tau_hat| under- or overflows at large q).
     """
     _require_q(q)
     tau, tau0, tau_hat = analysis.tau, analysis.tau0, analysis.tau_hat
@@ -115,12 +117,17 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
         slope = p_d1(spec, tau0)
         mu_hat = max(1.0 + slope, (p_eval(spec, tau_hat) + 1.0) / (tau_hat - tau0))
         return 0.0, mu_hat
-    theta_lo = (1.0 + analysis.k_bound) / (
-        q * (q - 1.0) * min(tau0 ** (q - 2.0), tau ** (q - 2.0))
-    )
-    mu_lo = (p_eval(spec, tau_hat) + theta_lo * tau_hat**q + 1.0) / (
-        theta_lo * abs(tau0 - tau_hat) ** q
-    )
+    try:
+        theta_lo = (1.0 + analysis.k_bound) / (
+            q * (q - 1.0) * min(tau0 ** (q - 2.0), tau ** (q - 2.0))
+        )
+        mu_lo = (p_eval(spec, tau_hat) + theta_lo * tau_hat**q + 1.0) / (
+            theta_lo * abs(tau0 - tau_hat) ** q
+        )
+    except (ZeroDivisionError, OverflowError):  # a power under- or overflowed
+        theta_lo = mu_lo = math.inf
+    if not (0.0 < theta_lo < math.inf and 0.0 < mu_lo < math.inf):
+        raise ValueError(f"q = {q!r} too large: the shape thresholds are not finite")
     return theta_lo, mu_lo
 
 

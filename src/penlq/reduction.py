@@ -23,6 +23,7 @@ other modules read x through :func:`as_solution_matrix`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +156,19 @@ def build(
     tying each item's row sum to zero with weight (lam*theta)^(1/q) (omitted
     when theta = 0, i.e. q = 1), and n rows pulling each row sum to tau_hat
     with weight (lam*mu)^(1/q).  Raises ConditionViolationError for
-    inadmissible penalties and ValueError when sum(b) > 2**53 (A inexact).
+    inadmissible penalties, ValueError when sum(b) > 2**53 (A inexact), and
+    ValueError when (m-1)*(max(1, t_star)*sum(b))**q >= 2**1023: that bounds
+    the balance part of F on every certificate, so F could overflow a float.
     """
     if sum(tp.b) > 2**53:
         raise ValueError(f"sum(b) = {sum(tp.b)} exceeds 2**53; A would not be exact")
     analysis, gparams, ganalysis = full_analysis(spec, q, lam, grid_exp=grid_exp)
     n, m = tp.n, tp.m
+    if m > 1:
+        bits = math.log2(m - 1) + q * math.log2(max(1.0, ganalysis.t_star) * sum(tp.b))
+        if bits >= 1023:
+            raise ValueError(f"(m-1)*(max(1, t*)*sum(b))**q = 2**{bits:.1f} reaches 2**1023; "
+                             "the objective would overflow a float")
     theta_root, mu_root = gparams.theta_root, gparams.mu_root
     roots = (theta_root, mu_root) if theta_root > 0.0 else (mu_root,)
     n_rows = (m - 1) + len(roots) * n

@@ -128,7 +128,6 @@ def solution_to_dict(result: SolveResult) -> dict:
         "value": result.value,
         "gap": result.gap,
         "assignments_explored": result.assignments_explored,
-        "seed": result.seed,
     }
 
 

@@ -92,7 +92,7 @@ def test_full_pipeline_yes(capsys, tmp_path, mcp_file, tp_file):
     assert code == 0
     assert json.loads(out)["rows"] == 13
 
-    code, out, _ = run(capsys, "solve", "--in", inst, "--mode", "structured", "--out", sol)
+    code, out, _ = run(capsys, "solve", "--in", inst, "--out", sol)
     assert code == 0
     assert json.loads(out)["gap"] <= 1e-9
 
@@ -109,8 +109,7 @@ def test_full_pipeline_no_instance(capsys, tmp_path, mcp_file):
     sol = str(tmp_path / "sol.json")
     assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
                "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
-    assert run(capsys, "solve", "--in", inst, "--mode", "hybrid", "--restarts", "1",
-               "--seed", "0", "--out", sol)[0] == 0
+    assert run(capsys, "solve", "--in", inst, "--out", sol)[0] == 0
     code, out, _ = run(capsys, "decode", "--in", inst, "--sol", sol)
     assert code == 3
     assert json.loads(out)["verdict"] == "unknown"
@@ -179,8 +178,7 @@ def test_size_guard_exit_code(capsys, tmp_path, mcp_file):
     inst = str(tmp_path / "inst.json")
     assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
                "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
-    code, _, err = run(capsys, "solve", "--in", inst, "--mode", "structured",
-                       "--out", str(tmp_path / "s.json"))
+    code, _, err = run(capsys, "solve", "--in", inst, "--out", str(tmp_path / "s.json"))
     assert code == 5 and "size guard" in err
 
 
@@ -233,7 +231,7 @@ def _strict_loads(text):
 
 
 def test_every_verb_writes_strict_json(capsys, tmp_path, mcp_file, linear_file, tp_file):
-    inst, sol, hyb = (str(tmp_path / name) for name in ("i.json", "s.json", "h.json"))
+    inst, sol = str(tmp_path / "i.json"), str(tmp_path / "s.json")
     runs = [
         (0, "penalty", "check", "--spec", mcp_file, "--grid", "200"),
         (2, "penalty", "check", "--spec", linear_file, "--grid", "200"),
@@ -243,8 +241,6 @@ def test_every_verb_writes_strict_json(capsys, tmp_path, mcp_file, linear_file, 
          "--lambda", "1", "--out", inst),
         (0, "certify", "--in", inst, "--partition", "[[1,2,3],[4,5,6]]"),
         (0, "solve", "--in", inst, "--out", sol),
-        (0, "solve", "--in", inst, "--mode", "hybrid", "--restarts", "2", "--seed", "3",
-         "--out", hyb),
         (0, "decode", "--in", inst, "--sol", sol),
         (0, "demo"),
     ]
@@ -252,22 +248,71 @@ def test_every_verb_writes_strict_json(capsys, tmp_path, mcp_file, linear_file, 
         code, out, _ = run(capsys, *argv)
         assert code == expected, argv
         _strict_loads(out.splitlines()[-1])
-    for path in (inst, sol, hyb):
+    for path in (inst, sol):
         _strict_loads(Path(path).read_text())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("mode", [["--mode", "structured"], ["--mode", "hybrid", "--restarts", "1"]])
-def test_overflowing_solve_is_usage_error(capsys, tmp_path, mcp_file, mode):
-    # |C_2 - C_1|**30 overflows, so the value is inf, which JSON cannot hold
-    tp = tmp_path / "huge.json"
-    tp.write_text(json.dumps({"m": 2, "b": [10**15, 1, 1, 1, 1, 2]}))
+_OVERFLOWING_INPUTS = {
+    # (10**15)**30 alone passes 2**1023
+    "mcp": ('{"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}', [10**15, 1, 1, 1, 1, 2]),
+    # 30*log2(sum(b)) = 1019.5, but scad's t* = 1.55 > 1 lifts the bound past 1023
+    "scad": ('{"family": "scad", "params": {"gamma": 1.0, "a": 3.0}}', [17 * 10**9, 1, 1, 1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_INPUTS))
+def test_overflowing_instance_is_rejected_at_build(capsys, tmp_path, name):
+    spec_text, b = _OVERFLOWING_INPUTS[name]
+    spec, tp, inst = tmp_path / "spec.json", tmp_path / "tp.json", tmp_path / "inst.json"
+    spec.write_text(spec_text)
+    tp.write_text(json.dumps({"m": 2, "b": b}))
+    code, out, err = run(capsys, "reduce", "build", "--in", str(tp), "--spec", str(spec),
+                         "--q", "30", "--lambda", "1", "--out", str(inst))
+    assert code == 1 and out == "" and "would overflow" in err and "Traceback" not in err
+    assert not inst.exists()
+
+
+def test_overflowing_solve_is_usage_error(capsys, tmp_path, mcp_file):
+    # an instance file naming an input that build now rejects, as an older
+    # build wrote it: loading rebuilds the instance, which refuses it
+    tp = tmp_path / "tp.json"
+    tp.write_text(json.dumps({"m": 2, "b": [1, 1, 1, 1, 1, 1]}))
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file, "--q", "30",
                "--lambda", "1", "--out", str(inst))[0] == 0
-    code, out, err = run(capsys, "solve", "--in", str(inst), *mode, "--out", str(sol))
-    assert code == 1 and out == "" and "penlq: error" in err and "Traceback" not in err
+    data = json.loads(inst.read_text())
+    data["tp"]["b"] = [10**15, 1, 1, 1, 1, 2]
+    inst.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
+    assert code == 1 and out == "" and "would overflow" in err and "Traceback" not in err
     assert not sol.exists()
+
+
+@pytest.mark.parametrize("flag", [["--mode", "hybrid"], ["--restarts", "1"], ["--seed", "0"]])
+def test_solve_has_no_hybrid_flags(capsys, tmp_path, flag):
+    code, out, err = run(capsys, "solve", "--in", "i.json", "--out", str(tmp_path / "s.json"),
+                         *flag)
+    assert code == 1 and out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, mcp_file,
+                                                              tp_file):
+    inst, sol = str(tmp_path / "inst.json"), tmp_path / "sol.json"
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file, "--q", "2",
+        "--lambda", "1", "--out", inst)
+    assert run(capsys, "solve", "--in", inst, "--out", str(sol))[0] == 0
+    data = json.loads(sol.read_text())
+    assert list(data) == ["x", "value", "gap", "assignments_explored"]
+    sol.write_text(json.dumps({**data, "seed": 0}))  # as older versions wrote it
+    code, out, _ = run(capsys, "decode", "--in", inst, "--sol", str(sol))
+    assert code == 0 and json.loads(out)["verdict"] == "yes"
+
+
+def test_gfun_analyze_at_huge_q_is_usage_error(capsys, mcp_file):
+    code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", "1500",
+                         "--lambda", "1")
+    assert code == 1 and out == "" and "too large" in err and "Traceback" not in err
 
 
 def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file):
@@ -276,8 +321,7 @@ def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file
     for inst, sol in ((inst_a, sol_a), (inst_b, sol_b)):
         run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
             "--q", "2", "--lambda", "1", "--out", inst)
-        run(capsys, "solve", "--in", inst, "--mode", "hybrid", "--restarts", "2",
-            "--seed", "5", "--out", sol)
+        run(capsys, "solve", "--in", inst, "--out", sol)
     assert Path(inst_a).read_bytes() == Path(inst_b).read_bytes()
     assert Path(sol_a).read_bytes() == Path(sol_b).read_bytes()
 

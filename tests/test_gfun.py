@@ -152,6 +152,18 @@ def test_full_analysis_rejects_a_root_beyond_float_range(mcp_spec):
         full_analysis(mcp_spec, q=1.0, lam=1e308)
 
 
+@pytest.mark.parametrize("q", [500.0, 1500.0, 5000.0])
+@pytest.mark.parametrize("name", sorted(all_admissible_specs()))
+def test_lower_bounds_reject_q_whose_thresholds_are_not_finite(name, q):
+    # tau0**(q-2) or |tau0 - tau_hat|**q underflows to 0, or tau**(q-2)
+    # overflows at tau = 2 (scad, clipped_l1)
+    spec = all_admissible_specs()[name]
+    with pytest.raises(ValueError, match="too large"):
+        lower_bounds(spec, penlq.analyze(spec), q)
+    with pytest.raises(ValueError, match="too large"):
+        full_analysis(spec, q=q, lam=1.0)
+
+
 @pytest.mark.parametrize(
     "coef, lam, q, grid_exp",
     [(194.5, 1e60, 2.0, 20), (14.55, 1e20, 1.0, 20), (14.55, 1000.0, 1.0, 64),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from penlq import (
     encode_certificate,
     objective,
     optimal_bound,
+    solve,
 )
 from penlq.decode import Partition
 
@@ -83,6 +86,39 @@ def test_m1_instance_has_no_balance_rows(mcp_spec):
     cert = encode_certificate(red, [[1, 2, 3]])
     assert np.all(cert[:, 0] == red.t_star)
     assert objective(red, cert) == pytest.approx(optimal_bound(red), abs=1e-9)
+
+
+# t* < 1 for mcp, so (10**15)**30 alone passes 2**1023; for scad
+# 30*log2(sum(b)) = 1019.5, but t* = 1.55 > 1 lifts the bound past 1023
+_OVERFLOWING = {
+    "mcp-1e15": (penlq.mcp(1.0, 1.0), 10**15),
+    "scad-17e9": (penlq.scad(1.0, 3.0), 17 * 10**9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_build_rejects_an_overflowing_objective(name):
+    spec, big = _OVERFLOWING[name]
+    with pytest.raises(ValueError, match="would overflow"):
+        build(ThreePartitionInstance(m=2, b=(big, 1, 1, 1, 1, 2)), spec, q=30.0, lam=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, big", [(penlq.mcp(1.0, 1.0), 18 * 10**9 - 6), (penlq.scad(1.0, 3.0), 118 * 10**8 - 6)],
+    ids=["mcp", "scad"],
+)
+def test_build_accepts_an_objective_just_inside_float_range(spec, big):
+    b = (big, 1, 1, 1, 1, 2)
+    red = build(ThreePartitionInstance(m=2, b=b), spec, q=30.0, lam=1.0)
+    assert 1022.0 <= 30.0 * math.log2(max(1.0, red.t_star) * sum(b)) < 1023.0
+    assert math.isfinite(solve(red).value)
+
+
+def test_build_never_rejects_m1_for_overflow(mcp_spec):
+    # no balance rows: nothing scales with sum(b)**q
+    red = build(ThreePartitionInstance(m=1, b=(2**51, 2**51, 2**52)), mcp_spec, q=200.0, lam=1.0)
+    assert red.problem.a_matrix.shape == (6, 3)
 
 
 def test_q1_omits_zero_weight_rows(mcp_spec):
