@@ -98,7 +98,7 @@ def cmd_penalty_fuzz(args) -> int:
 
 def cmd_gfun_analyze(args) -> int:
     spec = serde.load_penalty(args.spec)
-    _, params, ga = gfun.full_analysis(spec, q=args.q, lam=args.lam, grid_exp=args.grid_exp)
+    _, params, ga = gfun.full_analysis(spec, q=args.q, lam=args.lam)
     _emit(
         {
             "theta": params.theta,
@@ -117,7 +117,7 @@ def cmd_gfun_analyze(args) -> int:
 def cmd_reduce_build(args) -> int:
     tp = serde.load_tp(args.infile)
     spec = serde.load_penalty(args.spec)
-    red = build(tp, spec, q=args.q, lam=args.lam, grid_exp=args.grid_exp)
+    red = build(tp, spec, q=args.q, lam=args.lam)
     serde.save_instance(args.out, red)
     _emit(
         {
@@ -235,8 +235,6 @@ def build_parser() -> _Parser:
     ganalyze.add_argument("--spec", required=True)
     ganalyze.add_argument("--q", type=float, required=True)
     ganalyze.add_argument("--lambda", dest="lam", type=float, required=True)
-    ganalyze.add_argument("--grid-exp", type=int, default=gfun._GRID_EXP,
-                          help="dyadic grid exponent")
     ganalyze.set_defaults(func=cmd_gfun_analyze)
 
     reduce_p = sub.add_parser("reduce", help="build reduction instances")
@@ -246,7 +244,6 @@ def build_parser() -> _Parser:
     rbuild.add_argument("--spec", required=True)
     rbuild.add_argument("--q", type=float, required=True)
     rbuild.add_argument("--lambda", dest="lam", type=float, required=True)
-    rbuild.add_argument("--grid-exp", type=int, default=gfun._GRID_EXP)
     rbuild.add_argument("--out", required=True)
     rbuild.set_defaults(func=cmd_reduce_build)
 

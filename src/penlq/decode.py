@@ -19,7 +19,6 @@ from .errors import ReductionInvariantError, RoundingFailureError
 from .reduction import (
     ReductionInstance,
     ThreePartitionInstance,
-    _certificate,
     _checked_subsets,
     as_solution_matrix,
     objective,
@@ -37,9 +36,8 @@ class Partition:
 
 @dataclass(frozen=True)
 class RoundedSolution:
-    """Snapped solution: entries in {0, t_star}, one spike per item row."""
+    """Snapped solution: the column of each item row's one spike at t_star."""
 
-    y: np.ndarray
     chosen_column: tuple[int, ...]
 
 
@@ -71,7 +69,7 @@ def round_solution(red: ReductionInstance, x) -> RoundedSolution:
             f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
         )
     chosen = np.argmax(near_star, axis=1).tolist()
-    return RoundedSolution(y=_certificate(red, chosen), chosen_column=tuple(chosen))
+    return RoundedSolution(chosen_column=tuple(chosen))
 
 
 def to_partition(red: ReductionInstance, rounded: RoundedSolution) -> Partition:

@@ -17,9 +17,10 @@ reduction needs from g is computed here:
 * :func:`full_analysis` - the whole chain, memoized.
 
 None of these constants depends on the 3-partition items: they are fixed by
-(penalty, q, lam, grid_exp) alone, which is what keeps the reduction's
-numbers polynomially bounded.  :func:`full_analysis` therefore computes them
-once per key and hands the same frozen records to every later caller.
+(penalty, q, lam) alone, on one dyadic grid of step 2**-20, which is what
+keeps the reduction's numbers polynomially bounded.  :func:`full_analysis`
+therefore computes them once per key and hands the same frozen records to
+every later caller.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _is_integer, _is_real, _require_count
+from .errors import _is_real, _require_count
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 
 _PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-12
-_MAX_GRID_EXP = 64
-_GRID_EXP = 20  # default dyadic grid exponent of rationalize
+_BRACKET_TOL = 1e-12  # bracket width at which minimize_g stops
+_GRID_EXP = 20  # coefficient roots are multiples of 2**-_GRID_EXP
 
 
 def _require_q(q: float) -> None:
@@ -47,15 +47,6 @@ def _require_q(q: float) -> None:
 def _require_lam(lam: float) -> None:
     if not (_is_real(lam) and lam > 0.0):
         raise ValueError(f"lam must be a positive finite number, got {lam!r}")
-
-
-def _require_inputs(q: float, lam: float, grid_exp: int) -> None:
-    """Raise ValueError unless q >= 1 and lam > 0 are finite numbers and
-    grid_exp is an integer in 0..64."""
-    _require_q(q)
-    _require_lam(lam)
-    if not (_is_integer(grid_exp) and 0 <= grid_exp <= _MAX_GRID_EXP):
-        raise ValueError(f"grid_exp must be an integer in 0..{_MAX_GRID_EXP}, got {grid_exp!r}")
 
 
 @dataclass(frozen=True)
@@ -131,17 +122,17 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
     return theta_lo, mu_lo
 
 
-def _dyadic_root_ceil(coef: float, lam: float, q: float, grid_exp: int) -> float:
-    """Smallest r = k / 2**grid_exp (k integer >= 0) with r**q / lam >= coef.
+def _dyadic_root_ceil(coef: float, lam: float, q: float) -> float:
+    """Smallest r = k / 2**_GRID_EXP (k integer >= 0) with r**q / lam >= coef.
 
     The test is made on r**q / lam as computed, the very expression that
     becomes the coefficient, so float rounding can never leave the
     coefficient below coef.  A step below r's ulp goes to the adjacent float,
-    still on the grid.  Raises ValueError when root * 2**grid_exp overflows.
+    still on the grid.  Raises ValueError when root * 2**_GRID_EXP overflows.
     """
     if coef <= 0.0:
         return 0.0
-    step = 2.0**-grid_exp
+    step = 2.0**-_GRID_EXP
     scaled = (lam * coef) ** (1.0 / q) / step
     if not math.isfinite(scaled):
         raise ValueError(f"coefficient root of {coef!r} at lambda {lam!r} overflows the grid")
@@ -159,7 +150,6 @@ def rationalize(
     mu_lower: float,
     lam: float,
     q: float,
-    grid_exp: int = _GRID_EXP,
     *,
     tau_hat: float,
 ) -> GParams:
@@ -170,20 +160,24 @@ def rationalize(
     (mu >= mu_lower when q = 1).  For q = 2 the mu root is additionally
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
-    thresholds.  Raises ValueError unless lam is finite and positive, q is
-    finite and at least 1, and grid_exp is an integer in 0..64 (bools are
-    rejected for all three).
+    thresholds.  Raises ValueError unless lam is finite and positive and q
+    is finite and at least 1 (bools are rejected for both), and when q is so
+    large that mu_lower * theta overflows a float.
     """
-    _require_inputs(q, lam, grid_exp)
+    _require_q(q)
+    _require_lam(lam)
     if q == 1.0:
-        mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0, grid_exp)
+        mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0)
         return GParams(
             q=q, theta=0.0, mu=mu_root / lam, tau_hat=tau_hat, theta_root=0.0, mu_root=mu_root
         )
-    theta_root = _dyadic_root_ceil(theta_lower, lam, q, grid_exp)
+    theta_root = _dyadic_root_ceil(theta_lower, lam, q)
     theta = theta_root**q / lam
     mu_target = mu_lower * theta
-    mu_root = _dyadic_root_ceil(mu_target, lam, q, grid_exp)
+    if not math.isfinite(mu_target):
+        raise ValueError(f"q = {q!r} too large: mu_lower * theta = {mu_lower!r} * {theta!r} "
+                         "overflows a float")
+    mu_root = _dyadic_root_ceil(mu_target, lam, q)
     if q == 2.0:
         snap = float(math.ceil(math.sqrt(lam * mu_target)))
         if mu_target <= snap * snap / lam <= 1.05 * mu_target:
@@ -257,24 +251,20 @@ def minimize_g(
     spec: PenaltySpec,
     analysis: PenaltyAnalysis,
     params: GParams,
-    bracket_tol: float = _BRACKET_TOL,
 ) -> tuple[float, float]:
     """Return (t_star, h), the unique global minimizer of g and its value.
 
     For q = 1 the minimizer is tau_hat exactly and h = p(tau_hat).  For
     q > 1, g is strictly convex on [tau0, tau] and the global minimum lies
-    inside, so a golden-section search down to bracket width bracket_tol
-    (default 1e-12, or float resolution if that is wider) finds it.  Raises
-    ValueError when the coefficients sit below the thresholds or unless
-    bracket_tol is a positive finite number.
+    inside, so a golden-section search down to bracket width 1e-12 (or
+    float resolution if that is wider) finds it.  Raises ValueError when the
+    coefficients sit below the thresholds.
     """
-    if not (_is_real(bracket_tol) and bracket_tol > 0.0):
-        raise ValueError(f"bracket_tol must be a positive finite number, got {bracket_tol!r}")
     _require_bounds(spec, analysis, params)
     if params.q == 1.0:
         return params.tau_hat, p_eval(spec, params.tau_hat)
     t_star = _golden_min(
-        lambda t: g_eval(spec, params, t), analysis.tau0, analysis.tau, bracket_tol
+        lambda t: g_eval(spec, params, t), analysis.tau0, analysis.tau, _BRACKET_TOL
     )
     return t_star, g_eval(spec, params, t_star)
 
@@ -382,30 +372,31 @@ def verify_g_shape(
 
 
 def full_analysis(
-    spec: PenaltySpec, q: float, lam: float, grid_exp: int = _GRID_EXP
+    spec: PenaltySpec, q: float, lam: float
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     """Run analyze -> lower_bounds -> rationalize -> minimize_g -> delta_bar.
 
-    The result is memoized on (spec, q, lam, grid_exp) in a bounded
-    least-recently-used cache shared by every caller.  q, lam and grid_exp
-    are validated first, as :func:`rationalize` would (ValueError), and only
-    then looked up.  The key keeps argument types, so 2 and 2.0 are separate
-    entries, exactly as their results differ in type; keyword and positional
-    calls share one entry.  Failures, such as the ConditionViolationError of
-    an inadmissible penalty, are never cached.  The records returned are
-    frozen, so sharing them between callers is safe.
+    The result is memoized on (spec, q, lam) in a bounded least-recently-used
+    cache shared by every caller.  q and lam are validated first, as
+    :func:`rationalize` would (ValueError), and only then looked up.  The key
+    keeps argument types, so 2 and 2.0 are separate entries, exactly as their
+    results differ in type; keyword and positional calls share one entry.
+    Failures, such as the ConditionViolationError of an inadmissible penalty,
+    are never cached.  The records returned are frozen, so sharing them
+    between callers is safe.
     """
-    _require_inputs(q, lam, grid_exp)
-    return _full_analysis(spec, q, lam, grid_exp)
+    _require_q(q)
+    _require_lam(lam)
+    return _full_analysis(spec, q, lam)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _full_analysis(
-    spec: PenaltySpec, q: float, lam: float, grid_exp: int
+    spec: PenaltySpec, q: float, lam: float
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     analysis = analyze(spec)
     theta_lo, mu_lo = lower_bounds(spec, analysis, q)
-    params = rationalize(theta_lo, mu_lo, lam, q, grid_exp=grid_exp, tau_hat=analysis.tau_hat)
+    params = rationalize(theta_lo, mu_lo, lam, q, tau_hat=analysis.tau_hat)
     t_star, h = minimize_g(spec, analysis, params)
     ganalysis = GAnalysis(
         theta_lower=theta_lo,

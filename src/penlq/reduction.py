@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _is_integer, _require_count
-from .gfun import _GRID_EXP, GAnalysis, GParams, _require_lam, _require_q, full_analysis
+from .gfun import GAnalysis, GParams, _require_lam, _require_q, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
 _LAYOUT = "row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)"
@@ -126,7 +126,6 @@ class ReductionInstance:
     ganalysis: GAnalysis
     delta: float
     epsilon: float
-    grid_exp: int = _GRID_EXP
 
     @property
     def n(self) -> int:
@@ -146,7 +145,6 @@ def build(
     spec: PenaltySpec,
     q: float,
     lam: float,
-    grid_exp: int = _GRID_EXP,
 ) -> ReductionInstance:
     """Materialize the reduction for (tp, penalty, q, lam).
 
@@ -162,7 +160,7 @@ def build(
     """
     if sum(tp.b) > 2**53:
         raise ValueError(f"sum(b) = {sum(tp.b)} exceeds 2**53; A would not be exact")
-    analysis, gparams, ganalysis = full_analysis(spec, q, lam, grid_exp=grid_exp)
+    analysis, gparams, ganalysis = full_analysis(spec, q, lam)
     n, m = tp.n, tp.m
     if m > 1:
         bits = math.log2(m - 1) + q * math.log2(max(1.0, ganalysis.t_star) * sum(tp.b))
@@ -197,7 +195,6 @@ def build(
         ganalysis=ganalysis,
         delta=delta,
         epsilon=epsilon,
-        grid_exp=grid_exp,
     )
 
 

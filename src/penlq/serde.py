@@ -8,7 +8,7 @@ Penalty file:   {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}
 3-partition:    {"m": 2, "b": [1, 2, 3, 1, 2, 3]}  (or wrapped under "tp")
 Instance file:  {"rows": R, "cols": C, "A": [...row-major...], "target":
                 [...], "lambda": ..., "q": ..., "meta": {...}, "tp": {...},
-                "penalty": {...}, "grid_exp": ..., "layout": ...}
+                "penalty": {...}, "layout": ...}
 Solution file:  {"x": [...row-major...], "value": v, "gap": g, ...}
 
 An instance file must equal, whole, the instance rebuilt from its recipe.
@@ -79,7 +79,6 @@ def instance_to_dict(red: ReductionInstance) -> dict:
         },
         "tp": {"m": red.tp.m, "b": list(red.tp.b)},
         "penalty": spec_to_dict(red.problem.penalty),
-        "grid_exp": red.grid_exp,
         "layout": _LAYOUT,
     }
 
@@ -89,25 +88,29 @@ def save_instance(path, red: ReductionInstance) -> None:
 
 
 def instance_from_dict(data: dict) -> ReductionInstance:
-    """Rebuild the instance from (tp, penalty, q, lambda, grid_exp) and check it.
+    """Rebuild the instance from (tp, penalty, q, lambda) and check it.
 
     The build is deterministic, so any difference between ``data`` and the
     rebuilt record (A, target, meta, layout, a missing or extra key) means
-    the file was edited or corrupted, and raises ValueError.  So does a
-    record that is not an object, lacks a recipe key, or holds a q or lambda
-    that is not a finite number.
+    the file was edited or corrupted, and raises ValueError naming the
+    top-level keys that differ.  So does a record that is not an object,
+    lacks a recipe key, or holds a q or lambda that is not a finite number.
     """
     if not isinstance(data, dict):
         raise ValueError("instance file must be a JSON object")
-    missing = sorted({"tp", "penalty", "q", "lambda", "grid_exp"} - data.keys())
+    missing = sorted({"tp", "penalty", "q", "lambda"} - data.keys())
     if missing:
         raise ValueError(f"instance file lacks the keys {missing}")
     red = build(
         tp_from_dict(data["tp"]), spec_from_dict(data["penalty"]),
-        q=_float(data, "q"), lam=_float(data, "lambda"), grid_exp=data["grid_exp"],
+        q=_float(data, "q"), lam=_float(data, "lambda"),
     )
-    if instance_to_dict(red) != data:
-        raise ValueError("stored matrix or metadata does not match the rebuilt instance")
+    rebuilt = instance_to_dict(red)
+    shared = rebuilt.keys() & data.keys()
+    differ = sorted(rebuilt.keys() ^ data.keys() | {k for k in shared if rebuilt[k] != data[k]})
+    if differ:
+        raise ValueError("instance file does not match the instance rebuilt from its "
+                         f"recipe: keys {differ} differ")
     return red
 
 

@@ -156,11 +156,9 @@ def test_non_integer_tp_is_usage_error(capsys, tmp_path, mcp_file, tp):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--grid-exp", "2000"), ("--lambda", "inf"), ("--q", "nan")]
-)
+@pytest.mark.parametrize("flag, value", [("--lambda", "inf"), ("--q", "nan")])
 def test_out_of_range_numbers_are_usage_errors(capsys, mcp_file, flag, value):
-    args = {"--q": "2", "--lambda": "1", "--grid-exp": "20", flag: value}
+    args = {"--q": "2", "--lambda": "1", flag: value}
     code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file,
                          *[word for pair in args.items() for word in pair])
     assert code == 1 and out == "" and "penlq: error" in err
@@ -206,7 +204,7 @@ def test_instance_file_tamper_detection(tmp_path, demo_instance):
     data = json.loads(path.read_text())
     data["A"][0] = 99.0
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="stored matrix"):
+    with pytest.raises(ValueError, match=r"keys \['A'\] differ"):
         serde.load_instance(path)
 
 
@@ -288,12 +286,25 @@ def test_overflowing_solve_is_usage_error(capsys, tmp_path, mcp_file):
     assert not sol.exists()
 
 
-@pytest.mark.parametrize("flag", [["--mode", "hybrid"], ["--restarts", "1"], ["--seed", "0"]])
-def test_solve_has_no_hybrid_flags(capsys, tmp_path, flag):
-    code, out, err = run(capsys, "solve", "--in", "i.json", "--out", str(tmp_path / "s.json"),
-                         *flag)
+_REQUIRED_ARGS = {
+    "solve": ["solve", "--in", "i.json", "--out", "out.json"],
+    "gfun": ["gfun", "analyze", "--spec", "p.json", "--q", "2", "--lambda", "1"],
+    "reduce": ["reduce", "build", "--in", "tp.json", "--spec", "p.json", "--q", "2",
+               "--lambda", "1", "--out", "out.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["solve", "--mode", "hybrid"], ["solve", "--restarts", "1"], ["solve", "--seed", "0"],
+     ["gfun", "--grid-exp", "20"], ["reduce", "--grid-exp", "20"]],
+)
+def test_solve_has_no_hybrid_flags(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    verb, *extra = flag
+    code, out, err = run(capsys, *_REQUIRED_ARGS[verb], *extra)
     assert code == 1 and out == "" and "unrecognized arguments" in err
-    assert not (tmp_path / "s.json").exists()
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, mcp_file,
@@ -310,9 +321,13 @@ def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, 
 
 
 def test_gfun_analyze_at_huge_q_is_usage_error(capsys, mcp_file):
-    code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", "1500",
-                         "--lambda", "1")
-    assert code == 1 and out == "" and "too large" in err and "Traceback" not in err
+    # at q = 300 the thresholds are finite but mu_lower * theta overflows;
+    # at q = 1500 the thresholds themselves are not finite
+    for q in ("300", "1500"):
+        code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", q,
+                             "--lambda", "1")
+        assert code == 1 and out == "" and f"q = {float(q)!r} too large" in err
+        assert "Traceback" not in err
 
 
 def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file):
@@ -470,14 +485,6 @@ def _edit_target(data):
     data["target"][-1] += 1.0
 
 
-def _drop_grid_exp(data):
-    del data["grid_exp"]
-
-
-def _fractional_grid_exp(data):
-    data["grid_exp"] = 20.9
-
-
 def _extra_key(data):
     data["note"] = "edited"
 
@@ -497,8 +504,7 @@ def _string_tp(data):
 @pytest.mark.parametrize(
     "edit",
     [
-        _edit_meta, _edit_target, _drop_grid_exp, _fractional_grid_exp, _extra_key,
-        _null_q, _huge_q, _string_tp,
+        _edit_meta, _edit_target, _extra_key, _null_q, _huge_q, _string_tp,
     ],
 )
 def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file, edit):
@@ -511,6 +517,21 @@ def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file
     code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
     assert code == 1 and out == "" and "penlq: error" in err
     assert not sol.exists()
+
+
+def test_instance_file_with_a_grid_exp_key_is_usage_error(capsys, tmp_path, mcp_file, tp_file):
+    # files written while the grid exponent was an option carry "grid_exp"
+    inst, sol, again = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "again.json"
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", str(inst))
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(sol))[0] == 0
+    data = json.loads(inst.read_text())
+    inst.write_text(json.dumps({**data, "grid_exp": 20}))
+    for argv in (["solve", "--in", str(inst), "--out", str(again)],
+                 ["decode", "--in", str(inst), "--sol", str(sol)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "'grid_exp'" in err and "Traceback" not in err
+    assert not again.exists()
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", '"tp"'])

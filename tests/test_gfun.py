@@ -16,7 +16,7 @@ from penlq import (
     rationalize,
     verify_g_shape,
 )
-from penlq.gfun import _dyadic_root_ceil, _full_analysis, _golden_min, full_analysis
+from penlq.gfun import _GRID_EXP, _dyadic_root_ceil, _full_analysis, _golden_min, full_analysis
 
 from conftest import all_admissible_specs
 
@@ -60,12 +60,6 @@ def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
         {"lam": float("nan")},
         {"q": float("nan")},
         {"q": float("inf")},
-        {"grid_exp": -1},
-        {"grid_exp": 65},
-        {"grid_exp": 2000},
-        {"grid_exp": 20.9},
-        {"grid_exp": 20.0},
-        {"grid_exp": True},
         {"q": True},
         {"lam": True},
         {"q": 10**400},
@@ -73,16 +67,9 @@ def test_lower_bounds_reject_small_q(mcp_spec, mcp_analysis):
     ],
 )
 def test_rationalize_rejects_out_of_range_inputs(mcp_analysis, kwargs):
-    args = {"lam": 1.0, "q": 2.0, "grid_exp": 20, **kwargs}
+    args = {"lam": 1.0, "q": 2.0, **kwargs}
     with pytest.raises(ValueError):
         rationalize(1.0, 194.5, tau_hat=mcp_analysis.tau_hat, **args)
-
-
-def test_rationalize_grid_exp_range_ends(mcp_analysis):
-    for grid_exp in (0, 64):
-        params = rationalize(1.0, 194.5, lam=1.0, q=2.0, grid_exp=grid_exp,
-                             tau_hat=mcp_analysis.tau_hat)
-        assert params.theta >= 1.0 and params.mu >= 194.5 * params.theta
 
 
 def test_rationalize_mcp_q2_snaps_to_square(mcp_analysis):
@@ -92,8 +79,10 @@ def test_rationalize_mcp_q2_snaps_to_square(mcp_analysis):
 
 
 def test_rationalize_q1_integer_grid(mcp_analysis):
-    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, grid_exp=0, tau_hat=mcp_analysis.tau_hat)
-    assert params.theta == 0.0 and params.mu == 15.0
+    # mu is the smallest integer multiple of 2**-20 at or above 14.55
+    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, tau_hat=mcp_analysis.tau_hat)
+    assert params.theta == 0.0 and params.mu == params.mu_root == 15256781 / 2**20
+    assert (15256781 - 1) / 2**20 < 14.55 <= params.mu
 
 
 def test_rationalize_fixed_point(mcp_analysis):
@@ -134,13 +123,11 @@ def test_rationalize_rounding_never_undercuts(q):
                 assert params.theta >= 1.0 and params.mu >= mu_lo * params.theta
 
 
-@pytest.mark.parametrize(
-    "q, lam, grid_exp", [(2.0, 1e60, 20), (1.0, 1e20, 20), (1.0, 1000.0, 64)]
-)
-def test_full_analysis_roots_beyond_integer_resolution(mcp_spec, q, lam, grid_exp):
-    # root * 2**grid_exp exceeds 2**53, where a grid step is below r's ulp
-    _, params, ga = full_analysis(mcp_spec, q=q, lam=lam, grid_exp=grid_exp)
-    assert params.mu_root * 2.0**grid_exp > 2.0**53
+@pytest.mark.parametrize("q, lam", [(2.0, 1e60), (1.0, 1e20)])
+def test_full_analysis_roots_beyond_integer_resolution(mcp_spec, q, lam):
+    # root * 2**20 exceeds 2**53, where a grid step is below r's ulp
+    _, params, ga = full_analysis(mcp_spec, q=q, lam=lam)
+    assert params.mu_root * 2.0**_GRID_EXP > 2.0**53
     if q == 1.0:
         assert params.theta == 0.0 and params.mu >= ga.mu_lower
     else:
@@ -165,13 +152,29 @@ def test_lower_bounds_reject_q_whose_thresholds_are_not_finite(name, q):
 
 
 @pytest.mark.parametrize(
-    "coef, lam, q, grid_exp",
-    [(194.5, 1e60, 2.0, 20), (14.55, 1e20, 1.0, 20), (14.55, 1000.0, 1.0, 64),
-     (1.0, 1e30, 3.0, 64), (0.3, 7.7, 1.5, 0)],
+    "name, q",
+    [("l0", 300.0), ("mcp", 300.0), ("hard_threshold", 250.0), ("bridge", 340.0),
+     ("fraction", 340.0), ("log", 340.0)],
 )
-def test_dyadic_root_ceil_is_the_smallest_grid_point(coef, lam, q, grid_exp):
-    step = 2.0**-grid_exp
-    r = _dyadic_root_ceil(coef, lam, q, grid_exp)
+def test_full_analysis_names_q_when_mu_lower_times_theta_overflows(name, q):
+    # both thresholds are finite, but their product in rationalize is not
+    spec = all_admissible_specs()[name]
+    theta_lo, mu_lo = lower_bounds(spec, penlq.analyze(spec), q)
+    assert math.isfinite(theta_lo) and math.isfinite(mu_lo)
+    with pytest.raises(ValueError, match=f"q = {q!r} too large") as info:
+        full_analysis(spec, q=q, lam=1.0)
+    assert "of inf" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "coef, lam, q",
+    # all but the last put root * 2**20 beyond 2**53, where a grid step is below r's ulp
+    [(194.5, 1e60, 2.0), (14.55, 1e20, 1.0), (14.55, 1e12, 1.0), (1.0, 1e30, 3.0),
+     (0.3, 7.7, 1.5)],
+)
+def test_dyadic_root_ceil_is_the_smallest_grid_point(coef, lam, q):
+    step = 2.0**-_GRID_EXP
+    r = _dyadic_root_ceil(coef, lam, q)
     assert r / step == math.floor(r / step)
     assert r**q / lam >= coef
     assert min(r - step, math.nextafter(r, 0.0)) ** q / lam < coef
@@ -211,7 +214,7 @@ def test_minimize_g_l0_closed_form():
 
 
 def test_minimize_g_q1_exact(mcp_spec, mcp_analysis):
-    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, grid_exp=0, tau_hat=mcp_analysis.tau_hat)
+    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, tau_hat=mcp_analysis.tau_hat)
     t_star, h = minimize_g(mcp_spec, mcp_analysis, params)
     assert t_star == mcp_analysis.tau_hat
     assert h == penlq.p_eval(mcp_spec, mcp_analysis.tau_hat)
@@ -226,26 +229,14 @@ def test_minimize_g_rejects_weak_coefficients(mcp_spec, mcp_analysis):
         minimize_g(mcp_spec, mcp_analysis, starved_mu)
 
 
-def test_minimize_g_stable_under_tolerance_halving(mcp_spec, mcp_analysis):
-    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
-    t1, _ = minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=1e-12)
-    t2, _ = minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=5e-13)
-    assert abs(t1 - t2) < 1e-10
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True])
-def test_minimize_g_rejects_bad_bracket_tol(mcp_spec, mcp_analysis, tol):
-    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
-    with pytest.raises(ValueError, match="bracket_tol"):
-        minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=tol)
-
-
-def test_minimize_g_sub_ulp_tolerance_stops_at_float_resolution(mcp_spec, mcp_analysis):
-    params = rationalize(1.0, 194.5, lam=1.0, q=2.0, tau_hat=mcp_analysis.tau_hat)
-    t_default, _ = minimize_g(mcp_spec, mcp_analysis, params)
-    t_fine, h_fine = minimize_g(mcp_spec, mcp_analysis, params, bracket_tol=1e-300)
-    assert abs(t_fine - t_default) < 1e-10
-    assert h_fine == g_eval(mcp_spec, params, t_fine)
+def test_minimize_g_sub_ulp_tolerance_stops_at_float_resolution():
+    # t_star is near 6.9e5, where floats are 1.16e-10 apart, so the 1e-12
+    # bracket is unreachable and the search ends when the bracket stops shrinking
+    spec = penlq.mcp(1e6, 3.0)
+    an, params, ga = full_analysis(spec, 2.0, 1.0)
+    assert math.ulp(ga.t_star) > 1e-10
+    assert an.tau0 < ga.t_star < an.tau
+    assert ga.h == g_eval(spec, params, ga.t_star)
 
 
 def test_golden_min_ends_when_the_bracket_stops_shrinking():
@@ -314,10 +305,11 @@ def test_verify_g_shape_rejects_bad_sample_count(mcp_spec, mcp_analysis, n_sampl
 
 
 def test_verify_g_shape_q1_slopes(mcp_spec, mcp_analysis):
-    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, grid_exp=0, tau_hat=mcp_analysis.tau_hat)
+    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, tau_hat=mcp_analysis.tau_hat)
     report = verify_g_shape(mcp_spec, mcp_analysis, params, n_samples=1000)
     assert report.overall and report.slope_ok
-    # g' = p' - 15 on the left of the anchor, p' + 15 on the right
+    # g' = p' - mu on the left of the anchor, p' + mu on the right, with
+    # mu = 14.55 and 0.3 <= p' <= 0.4 there
     assert report.worst_left_slope < -14.0
     assert report.worst_right_slope > 14.0
 
@@ -373,26 +365,22 @@ def test_full_analysis_cache_equals_fresh_computation():
     for spec in all_admissible_specs().values():
         for q in (1.0, 1.5, 2.0, 3.0):
             for lam in (0.5, 1.0, 3.0):
-                for grid_exp in (10, 20):
-                    cached = full_analysis(spec, q, lam, grid_exp)
-                    fresh = uncached(spec, q, lam, grid_exp)
-                    assert cached == fresh and repr(cached) == repr(fresh)
-                    # a keyword call finds the entry of the positional one
-                    assert full_analysis(spec, q=q, lam=lam, grid_exp=grid_exp) is cached
+                cached = full_analysis(spec, q, lam)
+                fresh = uncached(spec, q, lam)
+                assert cached == fresh and repr(cached) == repr(fresh)
+                # a keyword call finds the entry of the positional one
+                assert full_analysis(spec, q=q, lam=lam) is cached
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [
-        {"grid_exp": True}, {"grid_exp": 20.0}, {"lam": float("nan")}, {"q": float("nan")},
-        {"q": True, "lam": True},
-    ],
+    [{"lam": float("nan")}, {"q": float("nan")}, {"q": True, "lam": True}],
 )
 def test_full_analysis_validates_before_lookup(mcp_spec, kwargs):
-    full_analysis(mcp_spec, q=1.0, lam=1.0, grid_exp=1)  # True would hash as 1
-    full_analysis(mcp_spec, q=2.0, lam=1.0, grid_exp=20)
+    full_analysis(mcp_spec, q=1.0, lam=1.0)  # True would hash as 1
+    full_analysis(mcp_spec, q=2.0, lam=1.0)
     with pytest.raises(ValueError):
-        full_analysis(mcp_spec, **{"q": 2.0, "lam": 1.0, "grid_exp": 20, **kwargs})
+        full_analysis(mcp_spec, **{"q": 2.0, "lam": 1.0, **kwargs})
 
 
 def test_full_analysis_keys_on_spec_value_and_argument_types():
@@ -401,7 +389,7 @@ def test_full_analysis_keys_on_spec_value_and_argument_types():
     assert full_analysis(penlq.PenaltySpec("mcp", {"b": 1, "gamma": 1}), 2.0, 1.0) is first
     as_int = full_analysis(penlq.mcp(1.0, 1.0), 2, 1)
     assert type(as_int[1].q) is int
-    assert repr(as_int) == repr(_full_analysis.__wrapped__(penlq.mcp(1.0, 1.0), 2, 1, 20))
+    assert repr(as_int) == repr(_full_analysis.__wrapped__(penlq.mcp(1.0, 1.0), 2, 1))
 
 
 def test_signed_zero_specs_share_one_entry():
@@ -409,7 +397,7 @@ def test_signed_zero_specs_share_one_entry():
     assert plus == minus and hash(plus) == hash(minus)
     shared = full_analysis(plus, 1.0, 1.0)
     assert full_analysis(minus, 1.0, 1.0) is shared
-    assert repr(shared) == repr(_full_analysis.__wrapped__(minus, 1.0, 1.0, 20))
+    assert repr(shared) == repr(_full_analysis.__wrapped__(minus, 1.0, 1.0))
 
 
 def test_full_analysis_never_caches_failures():
