@@ -17,7 +17,7 @@ from .conditions import (
     fuzz_subadditivity,
     subadditive_bound_holds,
 )
-from .decode import Partition, RoundedSolution, decide, round_solution, to_partition, verify_equitable
+from .decode import Partition, decide, round_solution, to_partition, verify_equitable
 from .errors import (
     ConditionViolationError,
     NondifferentiableError,
@@ -87,7 +87,6 @@ __all__ = [
     "ProblemInstance",
     "ReductionInstance",
     "ReductionInvariantError",
-    "RoundedSolution",
     "RoundingFailureError",
     "SizeGuardError",
     "SolveResult",

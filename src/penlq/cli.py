@@ -20,7 +20,7 @@ from .errors import (
     ReductionInvariantError,
     SizeGuardError,
 )
-from .penalties import analyze, mcp, spec_to_dict
+from .penalties import mcp, spec_to_dict
 from .reduction import ThreePartitionInstance, build, encode_certificate, objective, optimal_bound
 
 EXIT_OK = 0
@@ -78,9 +78,9 @@ def cmd_penalty_check(args) -> int:
 
 def cmd_penalty_fuzz(args) -> int:
     spec = serde.load_penalty(args.spec)
-    analysis = analyze(spec)  # raises ConditionViolationError for rejects
+    # first: it raises ConditionViolationError for a rejected penalty
+    conc = conditions.fuzz_concentration(spec, trials=args.trials, seed=args.seed)
     sub = conditions.fuzz_subadditivity(spec, trials=args.trials, seed=args.seed)
-    conc = conditions.fuzz_concentration(spec, analysis, trials=args.trials, seed=args.seed)
     _emit(
         {
             "family": spec.family,

@@ -214,12 +214,7 @@ def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -
     return FuzzReport(trials=trials, seed=seed, violations=violations)
 
 
-def fuzz_concentration(
-    spec: PenaltySpec,
-    analysis: PenaltyAnalysis | None = None,
-    trials: int = 10_000,
-    seed: int = 0,
-) -> FuzzReport:
+def fuzz_concentration(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -> FuzzReport:
     """Random decompositions of random t_tilde; counts verdicts.
 
     Each trial draws an admissible (t_tilde, delta) and splits t_tilde into
@@ -229,11 +224,13 @@ def fuzz_concentration(
     coordinate carries everything, the rest are zero), which is the only
     way the penalty sum can stay below the threshold for the l0 indicator.
     Any COUNTEREXAMPLE_FOUND verdict is a bug and counts as a violation.
-    Raises ValueError unless trials is an integer >= 1 and seed one >= 0.
+    The constants come from :func:`penlq.penalties.analyze`, so a rejected
+    penalty raises ConditionViolationError first, before the arguments are
+    checked.  Raises ValueError unless trials is an integer >= 1 and seed
+    one >= 0.
     """
+    analysis = analyze(spec)
     _require_count("seed", seed, 0)
-    if analysis is None:
-        analysis = analyze(spec)
     tau0, tau = analysis.tau0, analysis.tau
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(_VERDICTS), dtype=int)

@@ -3,10 +3,11 @@
 The construction guarantees that any solution with objective below
 bound + epsilon has, in every item row, exactly one entry within 2*delta of
 t_star and all other entries within delta of zero.  :func:`round_solution`
-enforces exactly that pattern, :func:`to_partition` reads the partition off
-the rounded matrix, and :func:`decide` accepts x exactly when it rounds to
-an equal-sum partition.  A sub-threshold objective that fails to decode is
-an implementation bug, reported as :class:`ReductionInvariantError`.
+enforces exactly that pattern and returns each row's spike column,
+:func:`to_partition` reads the partition off those columns, and
+:func:`decide` accepts x exactly when it rounds to an equal-sum partition.
+A sub-threshold objective that fails to decode is an implementation bug,
+reported as :class:`ReductionInvariantError`.
 """
 
 from __future__ import annotations
@@ -34,18 +35,11 @@ class Partition:
     subset_sums: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RoundedSolution:
-    """Snapped solution: the column of each item row's one spike at t_star."""
+def round_solution(red: ReductionInstance, x) -> tuple[int, ...]:
+    """The 0-based column of each item row's one spike at t_star.
 
-    chosen_column: tuple[int, ...]
-
-
-def round_solution(red: ReductionInstance, x) -> RoundedSolution:
-    """Snap each row to its unique near-t_star entry.
-
-    Entries with |x_ij - t_star| < 2*delta become t_star, entries with
-    |x_ij| < delta become 0.  One row-wise predicate asks for exactly one
+    An entry with |x_ij - t_star| < 2*delta is a spike, one with
+    |x_ij| < delta a zero.  One row-wise predicate asks for exactly one
     near-t_star entry and none in neither zone; the first row that fails
     raises RoundingFailureError naming it (a wrong count before a stray
     entry): such an x cannot come from a sub-threshold objective.
@@ -68,14 +62,13 @@ def round_solution(red: ReductionInstance, x) -> RoundedSolution:
             f"row {i + 1}: entry x[{i + 1},{k + 1}] = {x_mat[i, k]:g} is neither "
             f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
         )
-    chosen = np.argmax(near_star, axis=1).tolist()
-    return RoundedSolution(chosen_column=tuple(chosen))
+    return tuple(np.argmax(near_star, axis=1).tolist())
 
 
-def to_partition(red: ReductionInstance, rounded: RoundedSolution) -> Partition:
-    """Assign item i to the subset holding its spike; sums from tp.b."""
+def to_partition(red: ReductionInstance, columns: tuple[int, ...]) -> Partition:
+    """Assign item i to the subset of its spike column ``columns[i - 1]``; sums from tp.b."""
     subsets: list[list[int]] = [[] for _ in range(red.m)]
-    for i, j in enumerate(rounded.chosen_column):
+    for i, j in enumerate(columns):
         subsets[j].append(i + 1)
     sums = tuple(sum(red.tp.b[i - 1] for i in subset) for subset in subsets)
     return Partition(subsets=tuple(tuple(s) for s in subsets), subset_sums=sums)

@@ -128,14 +128,17 @@ def _dyadic_root_ceil(coef: float, lam: float, q: float) -> float:
     The test is made on r**q / lam as computed, the very expression that
     becomes the coefficient, so float rounding can never leave the
     coefficient below coef.  A step below r's ulp goes to the adjacent float,
-    still on the grid.  Raises ValueError when root * 2**_GRID_EXP overflows.
+    still on the grid.  Raises ValueError naming q and lam when lam * coef
+    or root * 2**_GRID_EXP overflows.
     """
     if coef <= 0.0:
         return 0.0
     step = 2.0**-_GRID_EXP
     scaled = (lam * coef) ** (1.0 / q) / step
     if not math.isfinite(scaled):
-        raise ValueError(f"coefficient root of {coef!r} at lambda {lam!r} overflows the grid")
+        raise ValueError(
+            f"q = {q!r}, lambda = {lam!r}: the q-th root of lambda * {coef!r} overflows the grid"
+        )
     r = math.ceil(scaled) * step
     # float rounding in the q-th root can leave r a step off either way
     while r**q / lam < coef:

@@ -381,17 +381,6 @@ FAMILIES = tuple(_REGISTRY)
 # ---------------------------------------------------------------------------
 
 
-def sampled_k_bound(spec: PenaltySpec, tau0: float, tau: float, grid_n: int = 1000) -> float:
-    """Grid-sampled max of -p'' on [tau0, tau], padded by a 1% safety factor.
-
-    Fallback route for penalties without a closed-form curvature bound; for
-    the builtins it cross-checks the ``k_bound`` of :func:`analyze` in the
-    test suite.
-    """
-    grid = np.linspace(tau0, tau, grid_n)
-    return 1.01 * float(np.max(-p_d2(spec, grid)))
-
-
 _C1_FLOOR = 1e-12  # p is "not linear" on [0, tau0] when c1 exceeds this
 
 

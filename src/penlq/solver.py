@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class SolveResult:
     value: float  # objective(x), recomputed, never trusted from the search
     gap: float  # value - optimal_bound
     assignments_explored: int
-    seed: int
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,9 +98,7 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
 
     x = _certificate(red, [best // m**i % m for i in range(n)])
     value = objective(red, x)
-    return SolveResult(
-        x=x, value=value, gap=value - optimal_bound(red), assignments_explored=total, seed=0
-    )
+    return SolveResult(x=x, value=value, gap=value - optimal_bound(red), assignments_explored=total)
 
 
 def _restriction(terms, xk: float, q: float, lam: float, pen):
@@ -301,16 +298,17 @@ def solve(
 ) -> SolveResult:
     """Structured enumeration, optionally polished by local descent.
 
-    mode "structured" returns :func:`minimize_structured` with ``seed``
-    echoed.  mode "hybrid" returns it too when ``restarts`` is 0 or
-    :func:`penlq.decode.decide` accepts its solution: by the reduction's
-    forward direction an equal-sum certificate attains the global bound
-    n*lam*h, so descent could move F by rounding only.  Otherwise hybrid
-    runs ``restarts`` descent passes: the first from the best structured
-    solution, the rest from seeded perturbations of it; the returned value
-    is never worse than the structured one.  Reproducible for a fixed seed;
-    the structured solution does not depend on it.  Raises ValueError
-    unless restarts and seed are non-negative integers.
+    mode "structured" returns :func:`minimize_structured`'s result as it
+    is; ``seed`` is not used.  mode "hybrid" returns it too when
+    ``restarts`` is 0 or :func:`penlq.decode.decide` accepts its solution:
+    by the reduction's forward direction an equal-sum certificate attains
+    the global bound n*lam*h, so descent could move F by rounding only.
+    Otherwise hybrid runs ``restarts`` descent passes: the first from the
+    best structured solution, the rest from perturbations of it seeded by
+    ``seed``; the returned value is never worse than the structured one.
+    Reproducible for a fixed seed; the structured solution does not depend
+    on it.  Raises ValueError unless restarts and seed are non-negative
+    integers.
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -318,7 +316,7 @@ def solve(
     _require_count("seed", seed, 0)
     base = minimize_structured(red)
     if mode == "structured" or restarts == 0 or decide(red, base.x) is not None:
-        return replace(base, seed=seed)
+        return base
 
     rng = np.random.default_rng(seed)
     best_x, best_val = base.x, base.value
@@ -336,5 +334,4 @@ def solve(
         value=best_val,
         gap=best_val - optimal_bound(red),
         assignments_explored=base.assignments_explored,
-        seed=seed,
     )

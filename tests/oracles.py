@@ -4,9 +4,9 @@ Nothing here calls into the solver or decoder paths it is used to check:
 the 3-partition oracle is a plain bin-completion backtracker, the
 structured-minimum oracle a pure-Python loop over every assignment, the
 uncached structured formula a copy of the enumerator as it stood before its
-assignment table was cached, the
-objective oracle evaluates the four-block sum term by term, the
-derivative oracles are central finite differences, and the condition
+assignment table was cached, the objective oracle evaluates the four-block
+sum term by term, the derivative oracles are central finite differences,
+the curvature reference samples -p'' on a grid, and the condition
 references test midpoint concavity pair by pair and classify one split at a
 time.
 """
@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from penlq import p_d1, p_eval
+from penlq import p_d1, p_d2, p_eval
 
 
 def three_partition_oracle(m: int, b) -> bool:
@@ -111,6 +111,14 @@ def central_d1(spec, t, h=1e-6):
 def central_d2(spec, t, h=1e-6):
     """Second derivative of p by central differences of p_d1."""
     return (p_d1(spec, t + h) - p_d1(spec, t - h)) / (2.0 * h)
+
+
+def sampled_k_bound(spec, tau0: float, tau: float, grid_n: int = 1000) -> float:
+    """Grid-sampled max of -p'' on [tau0, tau], padded by a 1% safety factor:
+    the reference that the closed-form ``k_bound`` of analyze is checked
+    against."""
+    grid = np.linspace(tau0, tau, grid_n)
+    return 1.01 * float(np.max(-p_d2(spec, grid)))
 
 
 def concave_by_all_pairs(p, tau: float, grid_n: int, tol: float = 1e-12) -> bool:

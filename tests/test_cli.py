@@ -55,7 +55,13 @@ def test_penalty_fuzz(capsys, mcp_file):
     assert report["concentration_counterexamples"] == 0
 
 
-def test_penalty_fuzz_rejects_linear(capsys, linear_file):
+def _refuse_fuzzing(*args, **kwargs):
+    raise AssertionError("fuzzed a rejected penalty")
+
+
+def test_penalty_fuzz_rejects_linear(capsys, monkeypatch, linear_file):
+    # the rejection comes before any fuzzing
+    monkeypatch.setattr("penlq.conditions.fuzz_subadditivity", _refuse_fuzzing)
     code, _, err = run(capsys, "penalty", "fuzz", "--spec", linear_file, "--trials", "10")
     assert code == 2 and "condition violation" in err
 
@@ -322,11 +328,13 @@ def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, 
 
 def test_gfun_analyze_at_huge_q_is_usage_error(capsys, mcp_file):
     # at q = 300 the thresholds are finite but mu_lower * theta overflows;
-    # at q = 1500 the thresholds themselves are not finite
-    for q in ("300", "1500"):
+    # at q = 1500 the thresholds themselves are not finite; at q = 292 and
+    # lambda = 1000 the root of a coefficient overflows the dyadic grid
+    for q, lam, why in (("300", "1", "too large"), ("1500", "1", "too large"),
+                        ("292", "1000", "overflows the grid")):
         code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", q,
-                             "--lambda", "1")
-        assert code == 1 and out == "" and f"q = {float(q)!r} too large" in err
+                             "--lambda", lam)
+        assert code == 1 and out == "" and f"q = {float(q)!r}" in err and why in err
         assert "Traceback" not in err
 
 

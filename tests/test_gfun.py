@@ -134,9 +134,14 @@ def test_full_analysis_roots_beyond_integer_resolution(mcp_spec, q, lam):
         assert params.theta >= ga.theta_lower and params.mu >= ga.mu_lower * params.theta
 
 
-def test_full_analysis_rejects_a_root_beyond_float_range(mcp_spec):
-    with pytest.raises(ValueError, match="overflows the grid"):
-        full_analysis(mcp_spec, q=1.0, lam=1e308)
+def test_full_analysis_rejects_a_root_beyond_float_range():
+    # the thresholds and their product are finite, but lam * coefficient or
+    # its q-th root on the dyadic grid is not
+    for name, q, lam in (("mcp", 1.0, 1e308), ("mcp", 292.0, 1e3),
+                         ("hard_threshold", 245.0, 1e3), ("log", 321.0, 1e3)):
+        with pytest.raises(ValueError, match="overflows the grid") as info:
+            full_analysis(all_admissible_specs()[name], q=q, lam=lam)
+        assert str(info.value).startswith(f"q = {q!r}, lambda = {lam!r}: ")
 
 
 @pytest.mark.parametrize("q", [500.0, 1500.0, 5000.0])

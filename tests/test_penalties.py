@@ -19,13 +19,12 @@ from penlq import (
 )
 from penlq.penalties import (
     _float_eval,
-    sampled_k_bound,
     spec_from_dict,
     spec_to_dict,
 )
 
 from conftest import all_admissible_specs
-from oracles import central_d1, central_d2
+from oracles import central_d1, central_d2, sampled_k_bound
 
 
 def test_clipped_l1_saturates():
