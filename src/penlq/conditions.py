@@ -46,16 +46,24 @@ class ConditionReport:
 
 
 _TOL = 1e-12
+_MAX_SIZE = 10**6  # most grid points or fuzz trials one call may ask for
+
+
+def _require_size(name: str, value, floor: int) -> None:
+    """An integer in [floor, _MAX_SIZE], refused before anything is allocated."""
+    _require_count(name, value, floor)
+    if value > _MAX_SIZE:
+        raise ValueError(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
 
 
 def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     """Verify the admissibility conditions on uniform grids.
 
-    grid_n >= 100 points are used per check; the report records grid_n since
-    the certificate is only as fine as the grid.  Deterministic: identical
-    inputs produce identical reports.
+    100 <= grid_n <= 10**6 points are used per check (ValueError otherwise);
+    the report records grid_n since the certificate is only as fine as the
+    grid.  Deterministic: identical inputs produce identical reports.
     """
-    _require_count("grid_n", grid_n, 100)
+    _require_size("grid_n", grid_n, 100)
     tau, tau0, _ = band(spec)
 
     # Monotone on [0, 2*tau].
@@ -192,7 +200,7 @@ class FuzzReport:
 
 def _length_batches(trials: int):
     """(length, count) pairs that split ``trials`` over lengths 2..6."""
-    _require_count("trials", trials, 1)
+    _require_size("trials", trials, 1)
     lengths = (2, 3, 4, 5, 6)
     counts = [trials // len(lengths)] * len(lengths)
     counts[0] += trials - sum(counts)
@@ -202,7 +210,8 @@ def _length_batches(trials: int):
 def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -> FuzzReport:
     """Random lists (length 2..6, entries uniform in [-2*tau, 2*tau]).
 
-    Raises ValueError unless trials is an integer >= 1 and seed one >= 0.
+    Raises ValueError unless trials is an integer in [1, 10**6] and seed one
+    >= 0.
     """
     _require_count("seed", seed, 0)
     tau, _, _ = band(spec)
@@ -226,8 +235,8 @@ def fuzz_concentration(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -
     Any COUNTEREXAMPLE_FOUND verdict is a bug and counts as a violation.
     The constants come from :func:`penlq.penalties.analyze`, so a rejected
     penalty raises ConditionViolationError first, before the arguments are
-    checked.  Raises ValueError unless trials is an integer >= 1 and seed
-    one >= 0.
+    checked.  Raises ValueError unless trials is an integer in [1, 10**6]
+    and seed one >= 0.
     """
     analysis = analyze(spec)
     _require_count("seed", seed, 0)

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _is_real, _require_count
-from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
+from .penalties import _REGISTRY, PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
 
-_PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-12  # bracket width at which minimize_g stops
 _GRID_EXP = 20  # coefficient roots are multiples of 2**-_GRID_EXP
 
 
@@ -195,35 +193,6 @@ def rationalize(
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for a minimizer of f on [lo, hi].
-
-    Shrinks the bracket until it is at most tol wide, or until a step
-    leaves it no narrower (float resolution, so a tol below the spacing of
-    floats near the minimizer still ends), and returns its midpoint; ties
-    (f(c) == f(d)) keep the right-hand part.  The bracket search of
-    :func:`minimize_g`.
-    """
-    c = hi - _PHI_INV * (hi - lo)
-    d = lo + _PHI_INV * (hi - lo)
-    fc, fd = f(c), f(d)
-    width = hi - lo
-    while width > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _PHI_INV * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _PHI_INV * (hi - lo)
-            fd = f(d)
-        narrower = hi - lo
-        if narrower >= width:
-            break
-        width = narrower
-    return 0.5 * (lo + hi)
-
-
 def g_eval(spec: PenaltySpec, params: GParams, t):
     """Evaluate g at any real t (scalar or array)."""
     t_arr = np.asarray(t, dtype=float)
@@ -259,17 +228,29 @@ def minimize_g(
 
     For q = 1 the minimizer is tau_hat exactly and h = p(tau_hat).  For
     q > 1, g is strictly convex on [tau0, tau] and the global minimum lies
-    inside, so a golden-section search down to bracket width 1e-12 (or
-    float resolution if that is wider) finds it.  Raises ValueError when the
-    coefficients sit below the thresholds.
+    inside, so bisection on the sign of
+    g'(t) = p'(t) + q*theta*t**(q-1) + sgn(t - tau_hat)*q*mu*|t - tau_hat|**(q-1)
+    runs until the midpoint equals an endpoint; t_star is whichever of the
+    two adjacent floats has the lower g, the lower one on a tie.  Raises
+    ValueError when the coefficients sit below the thresholds.
     """
     _require_bounds(spec, analysis, params)
     if params.q == 1.0:
         return params.tau_hat, p_eval(spec, params.tau_hat)
-    t_star = _golden_min(
-        lambda t: g_eval(spec, params, t), analysis.tau0, analysis.tau, _BRACKET_TOL
-    )
-    return t_star, g_eval(spec, params, t_star)
+    q, theta, mu, tau_hat = params.q, params.theta, params.mu, params.tau_hat
+    d1 = _REGISTRY[spec.family].d1  # the band avoids every kink: no p_d1 kink check
+    lo, hi = analysis.tau0, analysis.tau
+    while lo < (t := 0.5 * (lo + hi)) < hi:
+        d = np.float64(t - tau_hat)  # numpy powers give inf where g_eval's do
+        slope = d1(t, **spec._kwargs) + q * (
+            theta * np.float64(t) ** (q - 1.0) + mu * np.sign(d) * np.abs(d) ** (q - 1.0)
+        )
+        if slope < 0.0:
+            lo = t
+        else:
+            hi = t
+    g_lo, g_hi = g_eval(spec, params, lo), g_eval(spec, params, hi)
+    return (hi, g_hi) if g_hi < g_lo else (lo, g_lo)
 
 
 def delta_bar(analysis: PenaltyAnalysis, t_star: float) -> float:

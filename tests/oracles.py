@@ -6,14 +6,16 @@ structured-minimum oracle a pure-Python loop over every assignment, the
 uncached structured formula a copy of the enumerator as it stood before its
 assignment table was cached, the objective oracle evaluates the four-block
 sum term by term, the derivative oracles are central finite differences,
-the curvature reference samples -p'' on a grid, and the condition
+the curvature reference samples -p'' on a grid, the condition
 references test midpoint concavity pair by pair and classify one split at a
-time.
+time, the reference line search is a golden-section search on values, and
+the l0 global minimum is one least-squares fit per support.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -103,6 +105,35 @@ def objective_by_blocks(red, x) -> float:
     return balance + pull_zero + pull_anchor + penalty
 
 
+def global_minimum_l0(red) -> tuple[float, np.ndarray]:
+    """(min F, a minimizer) over all x, exactly, for l0 at q = 2.
+
+    On a support S, F is a least-squares fit plus lam*|S|, so min F is the
+    minimum over S of one least-squares residual plus lam*|S|.  Supports are
+    enumerated by size, smallest first, with one batched pseudo-inverse per
+    size, and the search stops once lam*|S| alone reaches the best value so
+    far.  Ties keep the first support in lexicographic order.
+    """
+    problem = red.problem
+    if problem.penalty.family != "l0" or problem.q != 2.0:
+        raise ValueError("global_minimum_l0 needs the l0 penalty at q = 2")
+    a, target, lam = problem.a_matrix, problem.target, problem.lam
+    best, best_x = float(target @ target), np.zeros(problem.cols)  # S empty
+    for size in range(1, problem.cols + 1):
+        if lam * size >= best:
+            break
+        supports = np.array(list(itertools.combinations(range(problem.cols), size)))
+        subs = a[:, supports].transpose(1, 0, 2)  # (supports, rows, size)
+        coefs = np.linalg.pinv(subs) @ target  # the least-squares fit on each support
+        residuals = (subs @ coefs[:, :, None])[:, :, 0] - target
+        values = np.sum(residuals * residuals, axis=1) + lam * size
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best, best_x = float(values[k]), np.zeros(problem.cols)
+            best_x[supports[k]] = coefs[k]
+    return best, best_x
+
+
 def central_d1(spec, t, h=1e-6):
     """First derivative of p by central differences of p_eval."""
     return (p_eval(spec, t + h) - p_eval(spec, t - h)) / (2.0 * h)
@@ -119,6 +150,38 @@ def sampled_k_bound(spec, tau0: float, tau: float, grid_n: int = 1000) -> float:
     against."""
     grid = np.linspace(tau0, tau, grid_n)
     return 1.01 * float(np.max(-p_d2(spec, grid)))
+
+
+_PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section search for a minimizer of f on [lo, hi].
+
+    Shrinks the bracket until it is at most tol wide, or until a step
+    leaves it no narrower (float resolution, so a tol below the spacing of
+    floats near the minimizer still ends), and returns its midpoint; ties
+    (f(c) == f(d)) keep the right-hand part.  Moved here unchanged from
+    ``penlq.gfun`` as the reference line search of the descent tests.
+    """
+    c = hi - _PHI_INV * (hi - lo)
+    d = lo + _PHI_INV * (hi - lo)
+    fc, fd = f(c), f(d)
+    width = hi - lo
+    while width > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _PHI_INV * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _PHI_INV * (hi - lo)
+            fd = f(d)
+        narrower = hi - lo
+        if narrower >= width:
+            break
+        width = narrower
+    return 0.5 * (lo + hi)
 
 
 def concave_by_all_pairs(p, tau: float, grid_n: int, tol: float = 1e-12) -> bool:

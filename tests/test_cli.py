@@ -72,6 +72,16 @@ def test_penalty_fuzz_requires_positive_trials(capsys, mcp_file, trials):
     assert code == 1 and out == "" and "trials must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("check", "--grid"), "grid_n must be at most 1000000"),
+     (("fuzz", "--trials"), "trials must be at most 1000000")],
+)
+def test_penalty_sizes_above_the_cap_are_usage_errors(capsys, mcp_file, argv, message):
+    code, out, err = run(capsys, "penalty", argv[0], "--spec", mcp_file, argv[1], "1000001")
+    assert code == 1 and out == "" and message in err and "Traceback" not in err
+
+
 def test_gfun_analyze_contract_keys(capsys, mcp_file):
     code, out, _ = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", "2",
                        "--lambda", "1")

@@ -62,6 +62,12 @@ def test_grid_floor_enforced(mcp_spec):
             check_conditions(mcp_spec, grid_n=grid_n)
 
 
+def test_grid_cap_enforced(mcp_spec):
+    # refused before np.linspace is asked for the points
+    with pytest.raises(ValueError, match="grid_n must be at most 1000000, got 1000001"):
+        check_conditions(mcp_spec, grid_n=10**6 + 1)
+
+
 def test_check_is_deterministic(mcp_spec):
     a = check_conditions(mcp_spec, grid_n=300)
     b = check_conditions(mcp_spec, grid_n=300)
@@ -261,6 +267,12 @@ def test_fuzzers_require_a_positive_integer_trial_count(mcp_spec, trials):
         penlq.fuzz_subadditivity(mcp_spec, trials=trials)
     with pytest.raises(ValueError, match="trials"):
         penlq.fuzz_concentration(mcp_spec, trials=trials)
+
+
+def test_fuzzers_cap_the_trial_count(mcp_spec):
+    for fuzz in (penlq.fuzz_subadditivity, penlq.fuzz_concentration):
+        with pytest.raises(ValueError, match="trials must be at most 1000000, got 1000001"):
+            fuzz(mcp_spec, trials=10**6 + 1)
 
 
 @pytest.mark.parametrize("seed", [True, None, 1.5, -1])

@@ -261,3 +261,19 @@ def test_decide_accepts_planted_partitions_at_float_resolution(specs):
                 partition = decide(red, cert)
                 assert partition is not None and partition.subsets == ((1, 2, 3), (4, 5, 6))
     assert below_resolution > 0  # the float edge must actually be exercised
+
+
+@pytest.mark.parametrize("scale", [10**8, 10**11])
+@pytest.mark.parametrize("name, c0, c1", [("l0", 0.0, 0.0), ("mcp", 1.0, -1.0)])
+def test_decide_accepts_the_closed_form_minimizer_at_large_items(specs, name, c0, c1, scale):
+    # at q = 2, p'(t) = c0 + c1*t on the band, so g' is affine there and its
+    # root is closed-form; spikes at that root must fall within the window
+    # 2*delta = tau0 / (4*sum(b)) of t_star even at sum(b) = 1.2e9 and 1.2e12
+    tp = ThreePartitionInstance(m=2, b=tuple(scale * v for v in (1, 2, 3, 1, 2, 3)))
+    red = build(tp, specs[name], q=2.0, lam=1.0)
+    gp = red.gparams
+    root = (2.0 * gp.mu * gp.tau_hat - c0) / (2.0 * gp.theta + 2.0 * gp.mu + c1)
+    x = np.zeros((6, 2))
+    x[:3, 0] = x[3:, 1] = root
+    partition = decide(red, x)
+    assert partition is not None and partition.subsets == ((1, 2, 3), (4, 5, 6))

@@ -16,7 +16,7 @@ from penlq import (
     rationalize,
     verify_g_shape,
 )
-from penlq.gfun import _GRID_EXP, _dyadic_root_ceil, _full_analysis, _golden_min, full_analysis
+from penlq.gfun import _GRID_EXP, _dyadic_root_ceil, _full_analysis, full_analysis
 
 from conftest import all_admissible_specs
 
@@ -234,27 +234,29 @@ def test_minimize_g_rejects_weak_coefficients(mcp_spec, mcp_analysis):
         minimize_g(mcp_spec, mcp_analysis, starved_mu)
 
 
+@pytest.mark.parametrize(
+    "name, c0, c1",
+    # p'(t) = c0 + c1*t on the band
+    [("l0", 0.0, 0.0), ("clipped_l1", 0.0, 0.0), ("hard_threshold", 2.0, -2.0),
+     ("scad", 1.5, -0.5), ("mcp", 1.0, -1.0)],
+)
+def test_minimize_g_lands_on_the_root_of_the_slope(name, c0, c1):
+    # at q = 2, g'(t) = c0 + c1*t + 2*theta*t + 2*mu*(t - tau_hat) is affine on
+    # the band, so its root is closed-form; the search ends within 2 ulps of it
+    spec = all_admissible_specs()[name]
+    _, params, ga = full_analysis(spec, 2.0, 1.0)
+    root = (2.0 * params.mu * params.tau_hat - c0) / (2.0 * params.theta + 2.0 * params.mu + c1)
+    assert abs(ga.t_star - root) <= 2.0 * math.ulp(root), (ga.t_star, root)
+
+
 def test_minimize_g_sub_ulp_tolerance_stops_at_float_resolution():
-    # t_star is near 6.9e5, where floats are 1.16e-10 apart, so the 1e-12
-    # bracket is unreachable and the search ends when the bracket stops shrinking
+    # t_star is near 6.9e5, where floats are 1.16e-10 apart; the bisection ends
+    # on two adjacent floats there as everywhere else
     spec = penlq.mcp(1e6, 3.0)
     an, params, ga = full_analysis(spec, 2.0, 1.0)
     assert math.ulp(ga.t_star) > 1e-10
     assert an.tau0 < ga.t_star < an.tau
     assert ga.h == g_eval(spec, params, ga.t_star)
-
-
-def test_golden_min_ends_when_the_bracket_stops_shrinking():
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        if len(calls) > 200:
-            raise RuntimeError("golden section did not stop")
-        return (t - 1e6) ** 2
-
-    # near 1e6 floats are 1.2e-10 apart, so a 1e-12 bracket is unreachable
-    assert _golden_min(f, 1e6 - 1.0, 1e6 + 1.0, 1e-12) == pytest.approx(1e6, abs=1e-9)
 
 
 def test_gparams_validation():

@@ -8,7 +8,7 @@ import penlq
 from penlq import ThreePartitionInstance, build, decide, minimize_structured, solve
 
 from conftest import all_admissible_specs
-from oracles import three_partition_oracle
+from oracles import NO_INSTANCES, YES_INSTANCES, global_minimum_l0, three_partition_oracle
 
 TP_YES = ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
 TP_NO = ThreePartitionInstance(m=2, b=(3, 3, 3, 3, 3, 5))
@@ -86,3 +86,21 @@ def test_structured_verdict_matches_oracle(name, q, lam, case):
     if partition is not None:
         assert sorted(i for subset in partition.subsets for i in subset) == list(range(1, 7))
         assert all(sum(b[i - 1] for i in subset) == sum(b) // 2 for subset in partition.subsets)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("b", [b for m, b in YES_INSTANCES + NO_INSTANCES if m == 2])
+def test_l0_global_minimum_separates_yes_from_no(b, lam):
+    # the reverse direction at the true optimum of F, not on the certificate
+    # family: min F is exact for l0 at q = 2 by support enumeration
+    red = build(ThreePartitionInstance(m=2, b=b), penlq.l0(), q=2.0, lam=lam)
+    value, x = global_minimum_l0(red)
+    bound = penlq.optimal_bound(red)
+    if three_partition_oracle(2, b):
+        assert abs(value - bound) <= 1e-9 * bound
+        partition = decide(red, x)
+        assert partition is not None and penlq.verify_equitable(red.tp, partition)
+    else:
+        # the best x splits one item over two subsets and pays one more lam
+        assert value >= bound + red.epsilon
+        assert abs(value - bound - lam) <= 1e-9

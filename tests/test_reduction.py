@@ -14,6 +14,7 @@ from penlq import (
     solve,
 )
 from penlq.decode import Partition
+from penlq.serde import instance_to_dict
 
 from oracles import objective_by_blocks
 
@@ -233,3 +234,35 @@ def test_coefficient_values_are_instance_independent(mcp_spec):
 def test_matrix_is_read_only(demo_instance):
     with pytest.raises(ValueError):
         demo_instance.problem.a_matrix[0, 0] = 5.0
+
+
+def test_only_the_balance_entries_and_the_radii_depend_on_the_items(specs):
+    # a pseudo-polynomial transformation: every other number of the instance
+    # is fixed by (penalty, q, lambda), whatever the items
+    small = ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
+    large = ThreePartitionInstance(m=2, b=(999_999, 3, 5, 1, 2, 1_000_004))
+    for spec in specs.values():
+        for q in (1.0, 1.5, 2.0, 3.0):
+            one, two = (instance_to_dict(build(tp, spec, q=q, lam=1.0)) for tp in (small, large))
+            assert one.keys() == two.keys()
+            assert {k for k in one if one[k] != two[k]} <= {"A", "tp", "meta"}
+            assert {k for k in one["meta"] if one["meta"][k] != two["meta"][k]} <= {
+                "delta", "epsilon"}
+            a_one, a_two = (np.reshape(d["A"], (d["rows"], d["cols"])) for d in (one, two))
+            assert np.array_equal(a_one[1:], a_two[1:])  # all but the m - 1 = 1 balance row
+            for a, tp in ((a_one, small), (a_two, large)):
+                assert a[0].tolist() == [v for item in tp.b for v in (-float(item), float(item))]
+
+
+def test_epsilon_shrinks_as_the_square_of_the_item_sum(specs):
+    # log2(bound / epsilon) = 2*log2(sum(b)) + a constant of (penalty, q):
+    # epsilon needs O(log sum(b)) bits, polynomial in the unary input size
+    for spec in specs.values():
+        for q in (1.0, 1.5, 2.0, 3.0):
+            offsets = []
+            for k in range(12):
+                tp = ThreePartitionInstance(m=2, b=tuple(10**k * v for v in (1, 2, 3, 1, 2, 3)))
+                red = build(tp, spec, q=q, lam=1.0)
+                offsets.append(math.log2(optimal_bound(red) / red.epsilon)
+                               - 2.0 * math.log2(sum(tp.b)))
+            assert max(offsets) - min(offsets) <= 1e-12, (spec.family, q, offsets)

@@ -18,7 +18,6 @@ from penlq import (
     solve,
 )
 from penlq import solver
-from penlq.gfun import _golden_min
 from penlq.penalties import _float_eval, kink_points, p_eval
 from penlq.reduction import ProblemInstance
 from penlq.solver import _half_weights, _piecewise_min, _restriction, local_descent
@@ -27,6 +26,7 @@ from conftest import all_admissible_specs
 from oracles import (
     NO_INSTANCES,
     YES_INSTANCES,
+    _golden_min,
     structured_minimum,
     structured_x_uncached,
     three_partition_oracle,
