@@ -97,8 +97,8 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     svals = p_eval(spec, sgrid)
     eta = sgrid[1] - sgrid[0]
     fd2 = (svals[2:] - 2.0 * svals[1:-1] + svals[:-2]) / (eta * eta)
-    k_ref = max(0.0, float(np.max(-fd2))) if fd2.size else 0.0
-    max_jump = float(np.max(np.abs(np.diff(fd2)))) if fd2.size > 1 else 0.0
+    k_ref = max(0.0, float(np.max(-fd2)))
+    max_jump = float(np.max(np.abs(np.diff(fd2))))
     smooth_ok = max_jump < 1e-3 * (1.0 + k_ref)
 
     return ConditionReport(

@@ -3,11 +3,11 @@
 The construction guarantees that any solution with objective below
 bound + epsilon has, in every item row, exactly one entry within 2*delta of
 t_star and all other entries within delta of zero.  :func:`round_solution`
-enforces exactly that pattern and returns each row's spike column,
-:func:`to_partition` reads the partition off those columns, and
-:func:`decide` accepts x exactly when it rounds to an equal-sum partition.
-A sub-threshold objective that fails to decode is an implementation bug,
-reported as :class:`ReductionInvariantError`.
+reads that pattern with one threshold, t_star/2, and returns each row's
+spike column, :func:`to_partition` reads the partition off those columns,
+and :func:`decide` accepts x exactly when it rounds to an equal-sum
+partition.  A sub-threshold objective that fails to decode beyond float
+error is an implementation bug, reported as :class:`ReductionInvariantError`.
 """
 
 from __future__ import annotations
@@ -36,33 +36,26 @@ class Partition:
 
 
 def round_solution(red: ReductionInstance, x) -> tuple[int, ...]:
-    """The 0-based column of each item row's one spike at t_star.
+    """The 0-based column of each item row's one spike.
 
-    An entry with |x_ij - t_star| < 2*delta is a spike, one with
-    |x_ij| < delta a zero.  One row-wise predicate asks for exactly one
-    near-t_star entry and none in neither zone; the first row that fails
-    raises RoundingFailureError naming it (a wrong count before a stray
-    entry): such an x cannot come from a sub-threshold objective.
+    An entry is a spike iff it exceeds t_star/2, and every row must hold
+    exactly one; the first row that does not raises RoundingFailureError
+    naming it.  A non-finite x raises ValueError.
     """
     x_mat = as_solution_matrix(red, x)
-    t_star, delta = red.t_star, red.delta
-    near_star = np.abs(x_mat - t_star) < 2.0 * delta
-    stray = ~(near_star | (np.abs(x_mat) < delta))
-    stars = np.count_nonzero(near_star, axis=1)
-    failed = np.flatnonzero((stars != 1) | stray.any(axis=1))
+    if not np.isfinite(x_mat).all():
+        raise ValueError("x must contain only finite numbers")
+    half = 0.5 * red.t_star
+    spikes = x_mat > half
+    counts = np.count_nonzero(spikes, axis=1)
+    failed = np.flatnonzero(counts != 1)
     if failed.size:
         i = int(failed[0])
-        if stars[i] != 1:
-            raise RoundingFailureError(
-                f"row {i + 1}: expected exactly one entry within {2 * delta:g} of "
-                f"t_star = {t_star:g}, found {int(stars[i])}"
-            )
-        k = int(np.argmax(stray[i]))
         raise RoundingFailureError(
-            f"row {i + 1}: entry x[{i + 1},{k + 1}] = {x_mat[i, k]:g} is neither "
-            f"within {delta:g} of 0 nor within {2 * delta:g} of t_star"
+            f"row {i + 1}: expected exactly one entry above t_star/2 = {half:g}, "
+            f"found {int(counts[i])}"
         )
-    return tuple(np.argmax(near_star, axis=1).tolist())
+    return tuple(np.argmax(spikes, axis=1).tolist())
 
 
 def to_partition(red: ReductionInstance, columns: tuple[int, ...]) -> Partition:
@@ -90,23 +83,28 @@ def decide(red: ReductionInstance, x) -> Partition | None:
     The verdict rests on the exact integer sums alone, so float error in
     F(x) cannot turn a verified partition away.  An x that does not decode
     although F(x) < bound + epsilon breaks the reduction's guarantee and
-    raises ReductionInvariantError.  A non-finite x raises ValueError; no
-    such x rounds, so an accepted x is not checked for it.
+    raises ReductionInvariantError when even F plus a bound on its rounding
+    error lies below it; otherwise the verdict is None.  A non-finite x
+    raises ValueError.
     """
     try:
         partition = to_partition(red, round_solution(red, x))
     except RoundingFailureError as exc:
-        if not np.all(np.isfinite(as_solution_matrix(red, x))):
-            raise ValueError("decide: x must contain only finite numbers") from None
         failure = f"failed to round: {exc}"
     else:
         if all(total == red.tp.target_sum for total in partition.subset_sums):
             return partition
         failure = f"decoded to unequal subset sums {partition.subset_sums}"
-    value = objective(red, x)
-    if value < optimal_bound(red) + red.epsilon:
-        raise ReductionInvariantError(
-            f"near-optimal solution (F = {value:.17g} < bound + epsilon) {failure}; "
-            "the construction guarantees an equal-sum partition"
-        )
+    value, bound = objective(red, x), optimal_bound(red)
+    if value < bound + red.epsilon:
+        # a-priori rounding error of F and the bound; s_r bounds residual r's partial sums
+        prob = red.problem
+        s = np.abs(prob.a_matrix) @ np.abs(np.ravel(x)) + np.abs(prob.target)
+        err = (8.0 * prob.q * (prob.rows + prob.cols) * np.finfo(float).eps
+               * (float(np.sum(s**prob.q)) + value + bound))
+        if value + err < bound + red.epsilon:
+            raise ReductionInvariantError(
+                f"near-optimal solution (F = {value:.17g} < bound + epsilon) {failure}; "
+                "the construction guarantees an equal-sum partition"
+            )
     return None

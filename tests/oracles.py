@@ -8,8 +8,9 @@ assignment table was cached, the objective oracle evaluates the four-block
 sum term by term, the derivative oracles are central finite differences,
 the curvature reference samples -p'' on a grid, the condition
 references test midpoint concavity pair by pair and classify one split at a
-time, the reference line search is a golden-section search on values, and
-the l0 global minimum is one least-squares fit per support.
+time, the reference line search is a golden-section search on values, the
+l0 global minimum is one least-squares fit per support, and the reference
+rounding reads each row against the construction's two windows.
 """
 
 from __future__ import annotations
@@ -132,6 +133,21 @@ def global_minimum_l0(red) -> tuple[float, np.ndarray]:
             best, best_x = float(values[k]), np.zeros(problem.cols)
             best_x[supports[k]] = coefs[k]
     return best, best_x
+
+
+def round_by_windows(red, x):
+    """The spike column of each item row by the construction's windows, or
+    None: every row must hold exactly one entry within 2*delta of t_star and
+    all its other entries within delta of 0.  The reference for the
+    one-threshold rounding of ``penlq.round_solution``."""
+    columns = []
+    for row in np.asarray(x, dtype=float).reshape(red.n, red.m).tolist():
+        spikes = [j for j, v in enumerate(row) if abs(v - red.t_star) < 2.0 * red.delta]
+        zeros = [j for j, v in enumerate(row) if abs(v) < red.delta]
+        if len(spikes) != 1 or len(spikes) + len(zeros) != len(row):
+            return None
+        columns.append(spikes[0])
+    return tuple(columns)
 
 
 def central_d1(spec, t, h=1e-6):

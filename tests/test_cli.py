@@ -495,6 +495,21 @@ def test_invariant_violation_exit_code(capsys, tmp_path, monkeypatch, mcp_file, 
     assert code == 4 and out == "" and "invariant violation" in err
 
 
+def test_decode_calls_a_float_tie_unknown(capsys, tmp_path, mcp_file):
+    # subsets summing to B + 1 and B - 1 hold spikes t*B/(B+1) and t*B/(B-1):
+    # both subset sums C_j are t*B, so F lands two ulps below the bound
+    s = 10**9
+    tp, inst, sol = tmp_path / "tp.json", str(tmp_path / "inst.json"), tmp_path / "sol.json"
+    tp.write_text(json.dumps({"m": 2, "b": [s, s, s, s, s + 1, s - 1]}))
+    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
+               "--q", "3", "--lambda", "1", "--out", inst)[0] == 0
+    t_star = json.loads(Path(inst).read_text())["meta"]["t_star"]
+    low, high = t_star * (3 * s) / (3 * s + 1), t_star * (3 * s) / (3 * s - 1)
+    sol.write_text(json.dumps({"x": [low, 0, low, 0, 0, high, 0, high, low, 0, 0, high]}))
+    code, out, err = run(capsys, "decode", "--in", inst, "--sol", str(sol))
+    assert (code, err) == (3, "") and json.loads(out)["verdict"] == "unknown"
+
+
 def _edit_meta(data):
     data["meta"]["delta"] *= 2
 
