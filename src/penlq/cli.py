@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+import numpy as np
 
 from . import conditions, decode, gfun, serde, solver
 from .errors import (
@@ -167,7 +168,8 @@ def cmd_solve(args) -> int:
 def cmd_decode(args) -> int:
     red = serde.load_instance(args.infile)
     x = serde.load_solution_matrix(args.sol, red)
-    return _emit_verdict(decode.decide(red, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # an F that overflows is still "unknown"
+        return _emit_verdict(decode.decide(red, x))
 
 
 def cmd_demo(args) -> int:

@@ -32,9 +32,6 @@ from .errors import _is_integer, _require_count
 from .gfun import GAnalysis, GParams, _require_lam, _require_q, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
-_LAYOUT = "row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)"
-
-
 @dataclass(frozen=True)
 class ThreePartitionInstance:
     """Multiset b_1..b_n of positive integers with n = 3m and sum(b) = m*B.

@@ -6,12 +6,14 @@ identical inputs.  NaN and +-inf raise ValueError, and no file is written.
 
 Penalty file:   {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}
 3-partition:    {"m": 2, "b": [1, 2, 3, 1, 2, 3]}  (or wrapped under "tp")
-Instance file:  {"rows": R, "cols": C, "A": [...row-major...], "target":
-                [...], "lambda": ..., "q": ..., "meta": {...}, "tp": {...},
-                "penalty": {...}, "layout": ...}
+Instance file:  {"lambda": ..., "q": ..., "meta": {...}, "tp": {...},
+                "penalty": {...}}
 Solution file:  {"x": [...row-major...], "value": v, "gap": g, ...}
 
-An instance file must equal, whole, the instance rebuilt from its recipe.
+An instance file holds the recipe (tp, penalty, q, lambda) and the constants
+derived from it, not A: tp and meta's theta_root, mu_root and tau_hat pin A
+and target bit for bit (:func:`penlq.reduction.build`).  It must equal,
+whole, the record of the instance rebuilt from its recipe.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import _is_real
 from .penalties import PenaltySpec, spec_from_dict, spec_to_dict
 from .reduction import (
-    _LAYOUT, ReductionInstance, ThreePartitionInstance, as_solution_matrix, build, optimal_bound,
+    ReductionInstance, ThreePartitionInstance, as_solution_matrix, build, optimal_bound,
 )
 from .solver import SolveResult
 
@@ -59,18 +61,15 @@ def load_tp(path) -> ThreePartitionInstance:
 
 
 def instance_to_dict(red: ReductionInstance) -> dict:
-    problem = red.problem
     return {
-        "rows": problem.rows,
-        "cols": problem.cols,
-        "A": problem.a_matrix.reshape(-1).tolist(),
-        "target": problem.target.tolist(),
-        "lambda": problem.lam,
-        "q": problem.q,
+        "lambda": red.problem.lam,
+        "q": red.problem.q,
         "meta": {
             "theta": red.gparams.theta,
             "mu": red.gparams.mu,
             "tau_hat": red.gparams.tau_hat,
+            "theta_root": red.gparams.theta_root,
+            "mu_root": red.gparams.mu_root,
             "t_star": red.ganalysis.t_star,
             "h": red.ganalysis.h,
             "delta": red.delta,
@@ -79,7 +78,6 @@ def instance_to_dict(red: ReductionInstance) -> dict:
         },
         "tp": {"m": red.tp.m, "b": list(red.tp.b)},
         "penalty": spec_to_dict(red.problem.penalty),
-        "layout": _LAYOUT,
     }
 
 
@@ -91,10 +89,11 @@ def instance_from_dict(data: dict) -> ReductionInstance:
     """Rebuild the instance from (tp, penalty, q, lambda) and check it.
 
     The build is deterministic, so any difference between ``data`` and the
-    rebuilt record (A, target, meta, layout, a missing or extra key) means
-    the file was edited or corrupted, and raises ValueError naming the
-    top-level keys that differ.  So does a record that is not an object,
-    lacks a recipe key, or holds a q or lambda that is not a finite number.
+    rebuilt record (meta, a missing or extra key) means the file was edited
+    or corrupted, and raises ValueError naming the top-level keys that
+    differ; a file that still stores A, as earlier versions did, is refused
+    this way.  So does a record that is not an object, lacks a recipe key,
+    or holds a q or lambda that is not a finite number.
     """
     if not isinstance(data, dict):
         raise ValueError("instance file must be a JSON object")

@@ -85,7 +85,7 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
     total = m**n
     if total > _MAX_ASSIGNMENTS:
         raise SizeGuardError(
-            f"m**n = {total} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
+            f"m**n = {m}**{n} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
         )
     b = np.asarray(red.tp.b, dtype=float)  # exact: build caps sum(b) at 2**53
     low = n // 2

@@ -5,8 +5,9 @@ the 3-partition oracle is a plain bin-completion backtracker, the
 structured-minimum oracle a pure-Python loop over every assignment, the
 uncached structured formula a copy of the enumerator as it stood before its
 assignment table was cached, the objective oracle evaluates the four-block
-sum term by term, the derivative oracles are central finite differences,
-the curvature reference samples -p'' on a grid, the condition
+sum term by term, the matrix reference forms A and target from an instance
+file's record with Python loops, the derivative oracles are central finite
+differences, the curvature reference samples -p'' on a grid, the condition
 references test midpoint concavity pair by pair and classify one split at a
 time, the reference line search is a golden-section search on values, the
 l0 global minimum is one least-squares fit per support, and the reference
@@ -104,6 +105,30 @@ def objective_by_blocks(red, x) -> float:
     pull_anchor = float(np.sum(np.abs(gp.mu_root * (row_sums - gp.tau_hat)) ** q))
     penalty = lam * float(np.sum(p_eval(red.problem.penalty, np.abs(x))))
     return balance + pull_zero + pull_anchor + penalty
+
+
+def matrix_from_record(record) -> tuple[np.ndarray, np.ndarray]:
+    """(A, target) from an instance file's record alone, by the block formula:
+    m - 1 balance rows with -b_i against x_i1 and +b_i against x_ij, then n
+    rows of theta_root (omitted when it is 0) and n rows of mu_root over each
+    item's m columns, and target mu_root*tau_hat on the last n rows.  Python
+    loops over the JSON values, the reference for ``penlq.build``'s blocks."""
+    m, b, meta = record["tp"]["m"], record["tp"]["b"], record["meta"]
+    n = len(b)
+    rows = []
+    for j in range(1, m):
+        row = [0.0] * (n * m)
+        for i, item in enumerate(b):
+            row[i * m], row[i * m + j] = -float(item), float(item)
+        rows.append(row)
+    roots = [meta["theta_root"], meta["mu_root"]] if meta["theta_root"] > 0 else [meta["mu_root"]]
+    for root in roots:
+        for i in range(n):
+            row = [0.0] * (n * m)
+            row[i * m:(i + 1) * m] = [root] * m
+            rows.append(row)
+    target = [0.0] * (len(rows) - n) + [meta["mu_root"] * meta["tau_hat"]] * n
+    return np.array(rows), np.array(target)
 
 
 def global_minimum_l0(red) -> tuple[float, np.ndarray]:

@@ -218,9 +218,9 @@ def test_instance_file_tamper_detection(tmp_path, demo_instance):
     path = tmp_path / "inst.json"
     serde.save_instance(path, demo_instance)
     data = json.loads(path.read_text())
-    data["A"][0] = 99.0
+    data["meta"]["mu_root"] *= 2.0
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"keys \['A'\] differ"):
+    with pytest.raises(ValueError, match=r"keys \['meta'\] differ"):
         serde.load_instance(path)
 
 
@@ -371,11 +371,11 @@ def test_instance_meta_contract(tmp_path, demo_instance):
     path = tmp_path / "inst.json"
     serde.save_instance(path, demo_instance)
     data = json.loads(path.read_text())
+    assert list(data) == ["lambda", "q", "meta", "tp", "penalty"]
     assert list(data["meta"]) == [
-        "theta", "mu", "tau_hat", "t_star", "h", "delta", "epsilon", "bound",
+        "theta", "mu", "tau_hat", "theta_root", "mu_root", "t_star", "h", "delta", "epsilon",
+        "bound",
     ]
-    for key in ("rows", "cols", "A", "target", "lambda", "q", "tp", "penalty", "layout"):
-        assert key in data
 
 
 @pytest.mark.parametrize(
@@ -514,8 +514,8 @@ def _edit_meta(data):
     data["meta"]["delta"] *= 2
 
 
-def _edit_target(data):
-    data["target"][-1] += 1.0
+def _edit_theta_root(data):
+    data["meta"]["theta_root"] += 1.0
 
 
 def _extra_key(data):
@@ -537,7 +537,7 @@ def _string_tp(data):
 @pytest.mark.parametrize(
     "edit",
     [
-        _edit_meta, _edit_target, _extra_key, _null_q, _huge_q, _string_tp,
+        _edit_meta, _edit_theta_root, _extra_key, _null_q, _huge_q, _string_tp,
     ],
 )
 def test_edited_instance_file_is_usage_error(capsys, tmp_path, mcp_file, tp_file, edit):
@@ -565,6 +565,43 @@ def test_instance_file_with_a_grid_exp_key_is_usage_error(capsys, tmp_path, mcp_
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "'grid_exp'" in err and "Traceback" not in err
     assert not again.exists()
+
+
+def test_instance_file_that_stores_a_is_usage_error(capsys, tmp_path, mcp_file, tp_file,
+                                                    demo_instance):
+    # files written while A was stored carry rows, cols, A, target and
+    # layout, and lack the two roots in meta
+    inst, sol, again = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "again.json"
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", str(inst))
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(sol))[0] == 0
+    data = json.loads(inst.read_text())
+    del data["meta"]["theta_root"], data["meta"]["mu_root"]
+    problem = demo_instance.problem
+    data.update(rows=problem.rows, cols=problem.cols, A=problem.a_matrix.reshape(-1).tolist(),
+                target=problem.target.tolist(),
+                layout="row-major by item: column (i-1)*m + j holds x_ij (i, j 1-based)")
+    inst.write_text(json.dumps(data))
+    for argv in (["solve", "--in", str(inst), "--out", str(again)],
+                 ["decode", "--in", str(inst), "--sol", str(sol)],
+                 ["certify", "--in", str(inst), "--partition", "[[1, 2, 3], [4, 5, 6]]"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "keys ['A', 'cols', 'layout', 'meta', 'rows', 'target'] differ" in err
+    assert not again.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_decode_of_an_x_whose_objective_overflows_is_unknown_and_quiet(capsys, tmp_path,
+                                                                       mcp_file, tp_file):
+    # sums 9 and 3; F overflows a float, and decode warns of nothing
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
+        "--q", "2", "--lambda", "1", "--out", str(inst))
+    t = 1e300
+    sol.write_text(json.dumps({"x": [t, 0, t, 0, t, 0, 0, t, 0, t, t, 0]}))
+    code, out, err = run(capsys, "decode", "--in", str(inst), "--sol", str(sol))
+    assert (code, err) == (3, "") and json.loads(out)["verdict"] == "unknown"
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", '"tp"'])

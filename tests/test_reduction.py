@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ from penlq import (
     solve,
 )
 from penlq.decode import Partition
-from penlq.serde import instance_to_dict
+from penlq.serde import dumps, instance_to_dict
 
-from oracles import objective_by_blocks
+from oracles import matrix_from_record, objective_by_blocks
 
 BOUND_MCP = 5.647938931297711  # 6 * h for the worked example
 
@@ -236,22 +237,38 @@ def test_matrix_is_read_only(demo_instance):
         demo_instance.problem.a_matrix[0, 0] = 5.0
 
 
+AUDIT_SMALL = ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
+AUDIT_LARGE = ThreePartitionInstance(m=2, b=(999_999, 3, 5, 1, 2, 1_000_004))
+
+
 def test_only_the_balance_entries_and_the_radii_depend_on_the_items(specs):
     # a pseudo-polynomial transformation: every other number of the instance
     # is fixed by (penalty, q, lambda), whatever the items
-    small = ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
-    large = ThreePartitionInstance(m=2, b=(999_999, 3, 5, 1, 2, 1_000_004))
     for spec in specs.values():
         for q in (1.0, 1.5, 2.0, 3.0):
-            one, two = (instance_to_dict(build(tp, spec, q=q, lam=1.0)) for tp in (small, large))
+            reds = [build(tp, spec, q=q, lam=1.0) for tp in (AUDIT_SMALL, AUDIT_LARGE)]
+            one, two = (instance_to_dict(red) for red in reds)
             assert one.keys() == two.keys()
-            assert {k for k in one if one[k] != two[k]} <= {"A", "tp", "meta"}
+            assert {k for k in one if one[k] != two[k]} == {"tp", "meta"}
             assert {k for k in one["meta"] if one["meta"][k] != two["meta"][k]} <= {
                 "delta", "epsilon"}
-            a_one, a_two = (np.reshape(d["A"], (d["rows"], d["cols"])) for d in (one, two))
+            a_one, a_two = (red.problem.a_matrix for red in reds)
             assert np.array_equal(a_one[1:], a_two[1:])  # all but the m - 1 = 1 balance row
-            for a, tp in ((a_one, small), (a_two, large)):
+            for a, tp in ((a_one, AUDIT_SMALL), (a_two, AUDIT_LARGE)):
                 assert a[0].tolist() == [v for item in tp.b for v in (-float(item), float(item))]
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_the_instance_record_pins_a_and_target_bit_for_bit(specs, q):
+    # the file stores no matrix: tp, the two roots and tau_hat must fix it
+    tps = [ThreePartitionInstance(m=m, b=(1, 2, 3) * m) for m in (1, 2, 3)] + [AUDIT_LARGE]
+    for spec in specs.values():
+        for tp in tps:
+            red = build(tp, spec, q=q, lam=1.0)
+            a, target = matrix_from_record(json.loads(dumps(instance_to_dict(red))))
+            assert a.shape == red.problem.a_matrix.shape, (spec.family, tp.m)
+            assert a.tobytes() == red.problem.a_matrix.tobytes(), (spec.family, tp.m)
+            assert target.tobytes() == red.problem.target.tobytes(), (spec.family, tp.m)
 
 
 def test_epsilon_shrinks_as_the_square_of_the_item_sum(specs):
