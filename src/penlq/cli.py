@@ -151,7 +151,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    red = serde.load_instance(args.infile)
+    data = serde.read_json(args.infile)
+    tp = serde.instance_tp(data)
+    solver.require_desk_scale(tp.m, tp.n)  # before the build: it needs m and n alone
+    red = serde.instance_from_dict(data)
     result = solver.solve(red)
     serde.save_solution(args.out, result)
     _emit(

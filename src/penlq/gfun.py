@@ -226,17 +226,17 @@ def minimize_g(
 ) -> tuple[float, float]:
     """Return (t_star, h), the unique global minimizer of g and its value.
 
-    For q = 1 the minimizer is tau_hat exactly and h = p(tau_hat).  For
-    q > 1, g is strictly convex on [tau0, tau] and the global minimum lies
-    inside, so bisection on the sign of
+    The global minimum lies inside [tau0, tau], where g' changes sign once,
+    so one bisection on the sign of
     g'(t) = p'(t) + q*theta*t**(q-1) + sgn(t - tau_hat)*q*mu*|t - tau_hat|**(q-1)
-    runs until the midpoint equals an endpoint; t_star is whichever of the
-    two adjacent floats has the lower g, the lower one on a tie.  Raises
-    ValueError when the coefficients sit below the thresholds.
+    runs for every q until the midpoint equals an endpoint; t_star is
+    whichever of the two adjacent floats has the lower g, the lower one on a
+    tie.  For q > 1, g is strictly convex there.  For q = 1 (theta = 0),
+    g' < 0 below tau_hat and g' >= 0 from it on, so the search ends on
+    t_star = tau_hat exactly, with h = p(tau_hat).  Raises ValueError when
+    the coefficients sit below the thresholds.
     """
     _require_bounds(spec, analysis, params)
-    if params.q == 1.0:
-        return params.tau_hat, p_eval(spec, params.tau_hat)
     q, theta, mu, tau_hat = params.q, params.theta, params.mu, params.tau_hat
     d1 = _REGISTRY[spec.family].d1  # the band avoids every kink: no p_d1 kink check
     lo, hi = analysis.tau0, analysis.tau

@@ -85,6 +85,18 @@ def save_instance(path, red: ReductionInstance) -> None:
     write_json(path, instance_to_dict(red))
 
 
+def instance_tp(data) -> ThreePartitionInstance:
+    """The 3-partition input of an instance record, read without building
+    anything; raises ValueError for a record that is not an object or lacks
+    a recipe key (tp, penalty, q, lambda)."""
+    if not isinstance(data, dict):
+        raise ValueError("instance file must be a JSON object")
+    missing = sorted({"tp", "penalty", "q", "lambda"} - data.keys())
+    if missing:
+        raise ValueError(f"instance file lacks the keys {missing}")
+    return tp_from_dict(data["tp"])
+
+
 def instance_from_dict(data: dict) -> ReductionInstance:
     """Rebuild the instance from (tp, penalty, q, lambda) and check it.
 
@@ -92,16 +104,11 @@ def instance_from_dict(data: dict) -> ReductionInstance:
     rebuilt record (meta, a missing or extra key) means the file was edited
     or corrupted, and raises ValueError naming the top-level keys that
     differ; a file that still stores A, as earlier versions did, is refused
-    this way.  So does a record that is not an object, lacks a recipe key,
-    or holds a q or lambda that is not a finite number.
+    this way.  So does a record that :func:`instance_tp` refuses, or that
+    holds a q or lambda that is not a finite number.
     """
-    if not isinstance(data, dict):
-        raise ValueError("instance file must be a JSON object")
-    missing = sorted({"tp", "penalty", "q", "lambda"} - data.keys())
-    if missing:
-        raise ValueError(f"instance file lacks the keys {missing}")
     red = build(
-        tp_from_dict(data["tp"]), spec_from_dict(data["penalty"]),
+        instance_tp(data), spec_from_dict(data["penalty"]),
         q=_float(data, "q"), lam=_float(data, "lambda"),
     )
     rebuilt = instance_to_dict(red)

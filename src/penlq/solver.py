@@ -64,6 +64,16 @@ def _half_weights(k: int, m: int) -> np.ndarray:
     return weights
 
 
+def require_desk_scale(m: int, n: int) -> None:
+    """Raise SizeGuardError when the m**n certificate-shaped assignments of
+    n items to m subsets exceed the cap of 10**7.  It reads m and n alone,
+    so a caller can ask it before building the instance."""
+    if m**n > _MAX_ASSIGNMENTS:
+        raise SizeGuardError(
+            f"m**n = {m}**{n} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
+        )
+
+
 def minimize_structured(red: ReductionInstance) -> SolveResult:
     """Exhaustive search over all m**n certificate-shaped solutions.
 
@@ -82,11 +92,8 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
     Raises SizeGuardError above 10**7 assignments.
     """
     n, m = red.n, red.m
+    require_desk_scale(m, n)
     total = m**n
-    if total > _MAX_ASSIGNMENTS:
-        raise SizeGuardError(
-            f"m**n = {m}**{n} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
-        )
     b = np.asarray(red.tp.b, dtype=float)  # exact: build caps sum(b) at 2**53
     low = n // 2
     lo = _half_weights(low, m) @ b[:low]

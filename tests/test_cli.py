@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from penlq import ReductionInvariantError, cli, serde
+from penlq import ReductionInvariantError, cli, gfun, serde
 
 
 def run(capsys, *argv):
@@ -100,35 +101,36 @@ def test_gfun_analyze_byte_reproducible(capsys, mcp_file):
     assert out1 == out2
 
 
-def test_full_pipeline_yes(capsys, tmp_path, mcp_file, tp_file):
-    inst = str(tmp_path / "inst.json")
-    sol = str(tmp_path / "sol.json")
-    code, out, _ = run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
-                       "--q", "2", "--lambda", "1", "--out", inst)
-    assert code == 0
-    assert json.loads(out)["rows"] == 13
+def test_full_pipeline_yes(capsys, tmp_path, mcp_file):
+    for b, rows, sums in (([1, 2, 3, 1, 2, 3], 13, [6, 6]),
+                          ([4, 5, 6, 5, 5, 5, 6, 4, 5], 20, [15, 15, 15])):
+        tp = tmp_path / "tp.json"
+        tp.write_text(json.dumps({"m": len(b) // 3, "b": b}))
+        inst = str(tmp_path / "inst.json")
+        sol = str(tmp_path / "sol.json")
+        code, out, _ = run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
+                           "--q", "2", "--lambda", "1", "--out", inst)
+        assert code == 0
+        assert json.loads(out)["rows"] == rows
 
-    code, out, _ = run(capsys, "solve", "--in", inst, "--out", sol)
-    assert code == 0
-    assert json.loads(out)["gap"] <= 1e-9
+        code, out, _ = run(capsys, "solve", "--in", inst, "--out", sol)
+        assert code == 0
+        assert json.loads(out)["gap"] <= 1e-9
 
-    code, out, _ = run(capsys, "decode", "--in", inst, "--sol", sol)
-    assert code == 0
-    verdict = json.loads(out)
-    assert verdict["verdict"] == "yes" and verdict["sums"] == [6, 6]
+        code, out, _ = run(capsys, "decode", "--in", inst, "--sol", sol)
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["verdict"] == "yes" and verdict["sums"] == sums
 
 
 def test_full_pipeline_no_instance(capsys, tmp_path, mcp_file):
-    tp = tmp_path / "tp_no.json"
-    tp.write_text('{"m": 2, "b": [3, 3, 3, 3, 3, 5]}')
-    inst = str(tmp_path / "inst.json")
-    sol = str(tmp_path / "sol.json")
-    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
-               "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
-    assert run(capsys, "solve", "--in", inst, "--out", sol)[0] == 0
-    code, out, _ = run(capsys, "decode", "--in", inst, "--sol", sol)
-    assert code == 3
-    assert json.loads(out)["verdict"] == "unknown"
+    for b in ([3, 3, 3, 3, 3, 5], [2, 2, 2, 4, 4, 4, 6, 6, 15]):
+        inst = _build_instance(capsys, tmp_path, mcp_file, b)
+        sol = str(tmp_path / "sol.json")
+        assert run(capsys, "solve", "--in", str(inst), "--out", sol)[0] == 0
+        code, out, err = run(capsys, "decode", "--in", str(inst), "--sol", sol)
+        assert (code, err) == (3, "")
+        assert json.loads(out)["verdict"] == "unknown"
 
 
 def test_certify(capsys, tmp_path, mcp_file, tp_file):
@@ -186,14 +188,54 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1 and err
 
 
-def test_size_guard_exit_code(capsys, tmp_path, mcp_file):
-    tp = tmp_path / "big.json"
-    tp.write_text(json.dumps({"m": 4, "b": [1] * 12}))
-    inst = str(tmp_path / "inst.json")
-    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", mcp_file,
-               "--q", "2", "--lambda", "1", "--out", inst)[0] == 0
-    code, _, err = run(capsys, "solve", "--in", inst, "--out", str(tmp_path / "s.json"))
-    assert code == 5 and "size guard" in err
+def _planted_items(m):
+    """Items 1e5..1e6 in m triples (3j + 1, 3j + 2, 3j + 3) that each sum to 1,400,000."""
+    return [v for j in range(m) for v in (100000 + 7 * j, 300000 + 5 * j, 1000000 - 12 * j)]
+
+
+def _build_instance(capsys, tmp_path, spec_file, b):
+    """``reduce build`` of items b at q = 2, lambda = 1; returns the instance path."""
+    tp, inst = tmp_path / "tp.json", tmp_path / "inst.json"
+    tp.write_text(json.dumps({"m": len(b) // 3, "b": b}))
+    assert run(capsys, "reduce", "build", "--in", str(tp), "--spec", spec_file, "--q", "2",
+               "--lambda", "1", "--out", str(inst))[0] == 0
+    return inst
+
+
+def _refuse_building(*args, **kwargs):
+    raise AssertionError("built an instance that the size guard refuses")
+
+
+def test_size_guard_exit_code(capsys, tmp_path, monkeypatch, mcp_file):
+    # the guard reads m and n from the file's tp: solve refuses before any build
+    for b in ([1] * 12, _planted_items(100)):
+        m, n = len(b) // 3, len(b)
+        inst, sol = _build_instance(capsys, tmp_path, mcp_file, b), tmp_path / "s.json"
+        with monkeypatch.context() as patch:
+            patch.setattr("penlq.serde.build", _refuse_building)
+            code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
+        assert code == 5 and out == "" and "size guard" in err and "Traceback" not in err
+        assert f"m**n = {m}**{n} assignments" in err
+        assert not sol.exists()
+
+
+def test_planted_m100_round_trip(capsys, tmp_path, mcp_file):
+    inst = _build_instance(capsys, tmp_path, mcp_file, _planted_items(100))
+    assert inst.stat().st_size < 16384  # the file holds the recipe, not A
+    partition = tmp_path / "part100.json"
+    partition.write_text(json.dumps([[3 * j + 1, 3 * j + 2, 3 * j + 3] for j in range(100)]))
+    code, out, err = run(capsys, "certify", "--in", str(inst), "--partition",
+                         str(partition))  # a file name, not inline JSON
+    assert (code, err) == (0, "") and _strict_loads(out)["optimal"] is True
+
+    t_star = _strict_loads(inst.read_text())["meta"]["t_star"]
+    x = [0.0] * (300 * 100)
+    for i in range(300):
+        x[i * 100 + i // 3] = t_star  # item i + 1 in subset i // 3 + 1
+    sol = tmp_path / "sol100.json"
+    sol.write_text(json.dumps({"x": x}))
+    code, out, err = run(capsys, "decode", "--in", str(inst), "--sol", str(sol))
+    assert (code, err) == (0, "") and _strict_loads(out)["verdict"] == "yes"
 
 
 def test_demo(capsys):
@@ -320,7 +362,7 @@ def test_solve_has_no_hybrid_flags(capsys, tmp_path, monkeypatch, flag):
     verb, *extra = flag
     code, out, err = run(capsys, *_REQUIRED_ARGS[verb], *extra)
     assert code == 1 and out == "" and "unrecognized arguments" in err
-    assert not (tmp_path / "out.json").exists()
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
 
 
 def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, mcp_file,
@@ -346,6 +388,16 @@ def test_gfun_analyze_at_huge_q_is_usage_error(capsys, mcp_file):
                              "--lambda", lam)
         assert code == 1 and out == "" and f"q = {float(q)!r}" in err and why in err
         assert "Traceback" not in err
+
+
+def test_gfun_analyze_at_huge_lambda_terminates(capsys, mcp_file):
+    # the coefficient roots lie beyond integer resolution on the dyadic grid
+    gfun._full_analysis.cache_clear()  # time the analysis, not a cache hit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", "2",
+                         "--lambda", "1e60")
+    assert time.perf_counter() - start < 60
+    assert (code, err) == (0, "") and _strict_loads(out)["mu"] > 0
 
 
 def test_written_files_are_byte_reproducible(capsys, tmp_path, mcp_file, tp_file):
@@ -508,6 +560,23 @@ def test_decode_calls_a_float_tie_unknown(capsys, tmp_path, mcp_file):
     sol.write_text(json.dumps({"x": [low, 0, low, 0, 0, high, 0, high, low, 0, 0, high]}))
     code, out, err = run(capsys, "decode", "--in", inst, "--sol", str(sol))
     assert (code, err) == (3, "") and json.loads(out)["verdict"] == "unknown"
+
+
+@pytest.mark.parametrize("scale", [10**11, 5 * 10**14])
+def test_decode_reads_the_l0_closed_form_root_at_large_items(capsys, tmp_path, scale):
+    # for l0 at q = 2, g' = 2*theta*t + 2*mu*(t - tau_hat) has the root
+    # mu*tau_hat/(theta + mu), which does not depend on b: spikes there decode
+    # at sum(b) = 1.2e12 and at 6e15, below build's 2**53 cap
+    spec, sol = tmp_path / "l0.json", tmp_path / "sol.json"
+    spec.write_text('{"family": "l0", "params": {}}')
+    code, out, _ = run(capsys, "gfun", "analyze", "--spec", str(spec), "--q", "2",
+                       "--lambda", "1")
+    g = _strict_loads(out)
+    t = g["mu"] * g["tau_hat"] / (g["theta"] + g["mu"])
+    sol.write_text(json.dumps({"x": [t, 0.0] * 3 + [0.0, t] * 3}))
+    inst = _build_instance(capsys, tmp_path, str(spec), [scale * v for v in (1, 2, 3, 1, 2, 3)])
+    code, out, err = run(capsys, "decode", "--in", str(inst), "--sol", str(sol))
+    assert (code, err) == (0, "") and _strict_loads(out)["verdict"] == "yes"
 
 
 def _edit_meta(data):

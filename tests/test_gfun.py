@@ -218,11 +218,13 @@ def test_minimize_g_l0_closed_form():
     assert h == pytest.approx(1.4889896907216496, abs=1e-9)
 
 
-def test_minimize_g_q1_exact(mcp_spec, mcp_analysis):
-    params = rationalize(0.0, 14.55, lam=1.0, q=1.0, tau_hat=mcp_analysis.tau_hat)
-    t_star, h = minimize_g(mcp_spec, mcp_analysis, params)
-    assert t_star == mcp_analysis.tau_hat
-    assert h == penlq.p_eval(mcp_spec, mcp_analysis.tau_hat)
+def test_minimize_g_q1_exact(specs):
+    # at q = 1 the bisection on g' ends on tau_hat itself, bit for bit
+    for spec in specs.values():
+        for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12):
+            analysis, params, ga = full_analysis(spec, q=1.0, lam=lam)
+            assert ga.t_star == params.tau_hat == analysis.tau_hat, (spec, lam)
+            assert ga.h == penlq.p_eval(spec, analysis.tau_hat), (spec, lam)
 
 
 def test_minimize_g_rejects_weak_coefficients(mcp_spec, mcp_analysis):
