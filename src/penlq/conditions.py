@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _require_count
-from .penalties import _C1_FLOOR, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
+from .penalties import _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class ConditionReport:
     overall: bool
 
 
-_TOL = 1e-12
 _MAX_SIZE = 10**6  # most grid points or fuzz trials one call may ask for
 
 
@@ -66,10 +65,10 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     _require_size("grid_n", grid_n, 100)
     tau, tau0, _ = band(spec)
 
-    # Monotone on [0, 2*tau].
+    # Monotone on [0, 2*tau], up to _SLACK of max|p| on the grid.
     grid = np.linspace(0.0, 2.0 * tau, grid_n)
     vals = p_eval(spec, grid)
-    drops = np.nonzero(np.diff(vals) < -_TOL)[0]
+    drops = np.nonzero(np.diff(vals) < -_SLACK * np.max(np.abs(vals)))[0]
     monotone_ok = drops.size == 0
     monotone_witness = None
     if not monotone_ok:
@@ -77,29 +76,28 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
         monotone_witness = (float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
 
     # Midpoint concavity on [0, tau] in one pass over the half-step grid: no
-    # gap_k = p(x_k) - (p(x_{k-1}) + p(x_{k+1}))/2 below zero makes the samples
-    # concave, hence p((s+t)/2) >= (p(s)+p(t))/2 for every pair of the grid_n
-    # points, whose midpoints all lie on this grid.  l0's jump at 0 passes.
+    # gap_k = p(x_k) - (p(x_{k-1}) + p(x_{k+1}))/2 below -_SLACK*max|p| makes
+    # the samples concave to rounding, hence p((s+t)/2) >= (p(s)+p(t))/2 for
+    # every pair of the grid_n points, whose midpoints all lie on this grid.
+    # l0's jump at 0 passes.
     hgrid = np.linspace(0.0, tau, 2 * grid_n - 1)
     hvals = p_eval(spec, hgrid)
     gap = hvals[1:-1] - 0.5 * (hvals[:-2] + hvals[2:])
     k = int(np.argmin(gap))
-    concave_ok = not gap[k] < -_TOL
+    concave_ok = not gap[k] < -_SLACK * np.max(np.abs(hvals))
     concave_witness = None if concave_ok else (float(hgrid[k]), float(hgrid[k + 2]), float(gap[k]))
 
-    # Not linear: the c1 margin must be strictly positive.
-    c1 = c1_margin(spec, tau0)
-    not_linear_ok = c1 > _C1_FLOOR
+    c1, not_linear_ok = c1_margin(spec, tau0)  # the rule of analyze
 
-    # Smooth band: second finite differences along a grid of [tau0, tau] must
-    # vary continuously, i.e. adjacent estimates may not jump.
+    # Smooth band: adjacent second finite differences on [tau0, tau] may not
+    # jump by more than 1e-3 (truncation) of the curvature k_ref + p(tau)/tau**2.
     sgrid = np.linspace(tau0, tau, grid_n)
     svals = p_eval(spec, sgrid)
     eta = sgrid[1] - sgrid[0]
     fd2 = (svals[2:] - 2.0 * svals[1:-1] + svals[:-2]) / (eta * eta)
     k_ref = max(0.0, float(np.max(-fd2)))
     max_jump = float(np.max(np.abs(np.diff(fd2))))
-    smooth_ok = max_jump < 1e-3 * (1.0 + k_ref)
+    smooth_ok = max_jump <= 1e-3 * (k_ref + abs(float(svals[-1])) / tau / tau)
 
     return ConditionReport(
         monotone_ok=monotone_ok,
@@ -120,7 +118,7 @@ def _subadditive_rows(spec: PenaltySpec, rows: np.ndarray) -> np.ndarray:
     tau, _, _ = band(spec)
     lhs = np.sum(p_eval(spec, np.abs(rows)), axis=1)
     rhs = np.minimum(p_eval(spec, np.abs(np.sum(rows, axis=1))), p_eval(spec, tau))
-    return lhs >= rhs - _TOL
+    return lhs >= rhs - _SLACK * np.abs(rhs)
 
 
 def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
@@ -180,8 +178,8 @@ def classify_split(
     t_arr = np.asarray(t_list, dtype=float)
     if t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
-    if not abs(float(np.sum(t_arr)) - t_tilde) <= 1e-12:  # also rejects NaN
-        raise ValueError("t_list must sum to t_tilde (abs tol 1e-12)")
+    if not abs(float(np.sum(t_arr)) - t_tilde) <= _SLACK * t_tilde:  # also rejects NaN
+        raise ValueError(f"t_list must sum to t_tilde (to within {_SLACK:g}*t_tilde)")
     return _VERDICTS[_classify_rows(spec, analysis, t_tilde, delta, t_arr.reshape(1, -1))[0]]
 
 

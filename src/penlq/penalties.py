@@ -184,7 +184,7 @@ def _derivative(spec: PenaltySpec, t, field: str):
     if np.any(t_arr <= 0):
         raise ValueError("derivatives are defined for t > 0 only")
     for kink in kink_points(spec):
-        hit = np.abs(t_arr - kink) <= 1e-12 * max(1.0, kink)
+        hit = np.abs(t_arr - kink) <= _SLACK * kink
         if np.any(hit):
             raise NondifferentiableError(
                 f"{spec.family}: derivative undefined at kink t = {kink}"
@@ -344,7 +344,7 @@ _REGISTRY["fraction"] = _Family(
     params={"gamma": _positive},
     value=lambda t, gamma: (gamma + 1.0) * t / (gamma + t),
     d1=lambda t, gamma: gamma * (gamma + 1.0) / (gamma + t) ** 2,
-    d2=lambda t, gamma: -2.0 * gamma * (gamma + 1.0) / (gamma + t) ** 3,
+    d2=lambda t, gamma: -2.0 * (gamma / (gamma + t)) * ((gamma + 1.0) / (gamma + t)) / (gamma + t),
     scalar=lambda gamma: lambda t: (gamma + 1.0) * t / (gamma + t),
     band=lambda gamma: _band(1.0),
 )
@@ -359,7 +359,7 @@ _REGISTRY["log"] = _Family(
     params={"gamma": _positive},
     value=lambda t, gamma: np.log1p(gamma * t) / math.log1p(gamma),
     d1=lambda t, gamma: gamma / ((1.0 + gamma * t) * math.log1p(gamma)),
-    d2=lambda t, gamma: -gamma * gamma / ((1.0 + gamma * t) ** 2 * math.log1p(gamma)),
+    d2=lambda t, gamma: -((gamma / (1.0 + gamma * t)) ** 2) / math.log1p(gamma),
     scalar=_log_scalar,
     band=lambda gamma: _band(1.0),
 )
@@ -381,38 +381,39 @@ FAMILIES = tuple(_REGISTRY)
 # ---------------------------------------------------------------------------
 
 
-_C1_FLOOR = 1e-12  # p is "not linear" on [0, tau0] when c1 exceeds this
+_SLACK = 1e-12  # relative: each admissibility test forgives this share of what it compares
 
 
-def c1_margin(spec: PenaltySpec, tau0: float) -> float:
-    """(p(tau0/3) + p(2*tau0/3) - p(tau0)) / (tau0/3).
-
-    Positive exactly when p is concave but not linear on [0, tau0]; zero for
-    any linear p.  This is the slack scale used by the concentration check
-    in :mod:`penlq.conditions`.
+def c1_margin(spec: PenaltySpec, tau0: float) -> tuple[float, bool]:
+    """(c1, bends): c1 = (p(tau0/3) + p(2*tau0/3) - p(tau0)) / (tau0/3), and
+    whether p is not linear on [0, tau0], i.e. c1 exceeds _SLACK of the chord
+    slope |p(tau0)|/tau0.  c1 is the slack scale of the concentration check.
     """
-    s = tau0 / 3.0
-    return (p_eval(spec, s) + p_eval(spec, 2.0 * s) - p_eval(spec, tau0)) / s
+    s, top = tau0 / 3.0, p_eval(spec, tau0)
+    c1 = (p_eval(spec, s) + p_eval(spec, 2.0 * s) - top) / s
+    return c1, c1 > _SLACK * abs(top) / tau0
 
 
 def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     """Compute the analysis constants, rejecting inadmissible penalties.
 
-    Raises :class:`ConditionViolationError` when the non-linearity margin c1
-    is not strictly positive (the linear/LASSO family, in particular).
+    Raises ValueError when c1 or p''(tau0) overflows a float, and
+    :class:`ConditionViolationError` when p is linear on [0, tau0] (the
+    linear/LASSO family, in particular).
     """
     tau, tau0, tau_hat = band(spec)
-    c1 = c1_margin(spec, tau0)
-    if not c1 > _C1_FLOOR:
+    with np.errstate(over="ignore", invalid="ignore"):
+        (c1, bends), d2 = c1_margin(spec, tau0), p_d2(spec, tau0)
+    if not (math.isfinite(c1) and math.isfinite(d2)):
+        raise ValueError(f"{spec.family} {dict(spec.params)}: the analysis constants overflow "
+                         f"a float (c1 = {c1:.3g}, p''(tau0) = {d2:.3g})")
+    if not bends:
         raise ConditionViolationError(
             f"{spec.family}: penalty is linear on [0, {tau0:g}] (c1 = {c1:.3g}); "
             "the reduction requires a concave-but-not-linear penalty"
         )
-    # -p'' is non-increasing on the band for every family, so its max over
-    # [tau0, tau] sits at tau0; the band avoids every kink, so d2 is called
-    # directly, without the kink check of p_d2.
-    k_bound = max(0.0, -float(_REGISTRY[spec.family].d2(tau0, **spec._kwargs)))
-    return PenaltyAnalysis(tau=tau, tau0=tau0, tau_hat=tau_hat, c1=c1, k_bound=k_bound)
+    # -p'' is non-increasing on the band for every family: its max is at tau0
+    return PenaltyAnalysis(tau=tau, tau0=tau0, tau_hat=tau_hat, c1=c1, k_bound=max(0.0, -d2))
 
 
 # ---------------------------------------------------------------------------

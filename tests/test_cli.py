@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -694,3 +695,81 @@ def test_certify_reads_a_long_inline_partition(capsys, tmp_path, mcp_file):
     assert len(partition) > 255
     code, out, err = run(capsys, "certify", "--in", inst, "--partition", partition)
     assert (code, err) == (0, "") and json.loads(out)["optimal"] is True
+
+
+def _spec_file(tmp_path, family, **params):
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps({"family": family, "params": params}))
+    return str(path)
+
+
+def test_penalty_check_accepts_a_wide_scad(capsys, tmp_path):
+    # rounding on values of about 1e4 leaves concavity gaps of about -1.8e-12
+    spec = _spec_file(tmp_path, "scad", gamma=100.0, a=3.0)
+    code, out, _ = run(capsys, "penalty", "check", "--spec", spec)
+    assert code == 0 and json.loads(out)["concave_on_0_tau"] is True
+
+
+def test_penalty_fuzz_finds_no_rounding_violations_on_a_wide_scad(capsys, tmp_path):
+    spec = _spec_file(tmp_path, "scad", gamma=1000.0, a=3.0)
+    code, out, _ = run(capsys, "penalty", "fuzz", "--spec", spec)
+    assert code == 0 and json.loads(out)["subadditivity_violations"] == 0
+
+
+def test_full_pipeline_yes_with_a_narrow_mcp(capsys, tmp_path):
+    spec = _spec_file(tmp_path, "mcp", gamma=1e-13, b=1.0)
+    inst, sol = _build_instance(capsys, tmp_path, spec, [1, 2, 3, 1, 2, 3]), tmp_path / "sol.json"
+    assert run(capsys, "solve", "--in", str(inst), "--out", str(sol))[0] == 0
+    code, out, _ = run(capsys, "decode", "--in", str(inst), "--sol", str(sol))
+    assert code == 0 and json.loads(out)["verdict"] == "yes"
+
+
+def test_gfun_analyze_at_a_breakpoint_of_1e_13(capsys, tmp_path):
+    # the band point tau0 = 1.5e-13 sits 5e-14 from the kink, far outside a
+    # slack relative to the kink
+    spec = _spec_file(tmp_path, "piecewise_linear", k1=1.0, k2=0.0, a=1e-13)
+    code, _, err = run(capsys, "gfun", "analyze", "--spec", spec, "--q", "1", "--lambda", "1")
+    assert (code, err) == (0, "")
+
+
+def test_gfun_analyze_refuses_constants_that_overflow(capsys, tmp_path):
+    spec = _spec_file(tmp_path, "mcp", gamma=1e300, b=1.0)
+    code, out, err = run(capsys, "gfun", "analyze", "--spec", spec, "--q", "2", "--lambda", "1")
+    assert code == 1 and out == "" and "mcp {'gamma': 1e+300, 'b': 1.0}" in err
+    assert "overflow a float" in err
+
+
+_SCALE_PARAMS = {
+    "hard_threshold": {"gamma": 1.0},
+    "scad": {"gamma": 1.0, "a": 3.0},
+    "mcp": {"gamma": 1.0, "b": 1.0},
+    "piecewise_linear": {"k1": 2.0, "k2": 0.5, "a": 1.0},
+    "fraction": {"gamma": 1.0},
+    "log": {"gamma": 1.0},
+    "linear": {"k": 1.0},
+}
+_EXTREME_SPECS = [
+    (family, {**params, name: value})
+    for family, params in _SCALE_PARAMS.items()
+    for name in params
+    for value in (1e-300, 1e300)
+]
+_VERBS = {
+    "check": ("penalty", "check"),
+    "fuzz": ("penalty", "fuzz"),
+    "analyze": ("gfun", "analyze", "--q", "2", "--lambda", "1"),
+    "build": ("reduce", "build", "--q", "2", "--lambda", "1"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+@pytest.mark.parametrize("family, params", _EXTREME_SPECS,
+                         ids=[f"{f}-{json.dumps(p)}" for f, p in _EXTREME_SPECS])
+def test_extreme_parameters_exit_cleanly(capsys, tmp_path, tp_file, family, params, verb):
+    argv = [*_VERBS[verb], "--spec", _spec_file(tmp_path, family, **params)]
+    if verb == "build":
+        argv += ["--in", tp_file, "--out", str(tmp_path / "inst.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's over- and underflow notes
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import penlq
-from penlq import SplitVerdict, check_conditions, classify_split, subadditive_bound_holds
+from penlq import SplitVerdict, check_conditions, classify_split, gfun, subadditive_bound_holds
 
 from conftest import all_admissible_specs
 from oracles import classify_split_by_rule, concave_by_all_pairs
@@ -22,11 +23,12 @@ def test_mcp_passes_all_checks(mcp_spec):
 
 
 def test_linear_fails_only_not_linear():
-    report = check_conditions(penlq.linear(1.0), grid_n=1000)
-    assert not report.overall
-    assert report.monotone_ok and report.concave_ok and report.smooth_ok
-    assert not report.not_linear_ok
-    assert report.c1 == pytest.approx(0.0, abs=1e-12)
+    for k in (1.0, 0.0):  # p = 0 has no scale, and its band is still smooth
+        report = check_conditions(penlq.linear(k), grid_n=1000)
+        assert not report.overall
+        assert report.monotone_ok and report.concave_ok and report.smooth_ok
+        assert not report.not_linear_ok
+        assert report.c1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decreasing_penalty_fails_monotone_with_witness():
@@ -288,3 +290,55 @@ def test_fuzzers_accept_fewer_trials_than_lengths(mcp_spec):
         assert penlq.fuzz_subadditivity(mcp_spec, trials=trials).trials == trials
         report = penlq.fuzz_concentration(mcp_spec, trials=trials)
         assert report.ok and report.hypothesis_fails + report.concentrated == trials
+
+
+def test_classify_split_sum_check_is_relative_to_t_tilde():
+    # t_tilde ~ 1.8e6: the float sum of [w*t, t - w*t, 0] can miss t by an ulp
+    # of t (2.3e-10), far above an absolute 1e-12
+    spec = penlq.scad(1e6, 3.0)
+    an = penlq.analyze(spec)
+    rng = np.random.default_rng(0)
+    for t_tilde, w in rng.uniform((an.tau0, 0.0), (an.tau, 1.0), size=(1000, 2)):
+        delta = 0.5 * min(an.tau0 / 3.0, t_tilde - an.tau0, an.tau - t_tilde)
+        classify_split(spec, an, t_tilde, delta, [w * t_tilde, t_tilde - w * t_tilde, 0.0])
+    with pytest.raises(ValueError, match=r"sum to t_tilde \(to within 1e-12\*t_tilde\)"):
+        classify_split(spec, an, t_tilde, delta, [t_tilde * (1.0 + 1e-11), 0.0])
+
+
+_SCALED_FAMILIES = {
+    "hard_threshold": lambda s: penlq.hard_threshold(s),
+    "scad": lambda s: penlq.scad(s, 3.0),
+    "mcp": lambda s: penlq.mcp(s, 2.0),
+    "clipped_l1": lambda s: penlq.clipped_l1(s),
+    "piecewise_linear": lambda s: penlq.piecewise_linear(2.0, 0.5, s),
+}
+_SCALES = [10.0**k for k in range(-12, 13, 3)]
+
+
+def test_verdicts_do_not_depend_on_the_units_of_the_parameters():
+    # p and c*p(t/s) are admissible together, so each check must agree at
+    # every scale s; an absolute tolerance fails at one end or the other
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, make in _SCALED_FAMILIES.items():
+            for s in _SCALES:
+                spec = make(s)
+                subadditive = penlq.fuzz_subadditivity(spec, trials=10_000, seed=0)
+                concentration = penlq.fuzz_concentration(spec, trials=10_000, seed=0)
+                if not check_conditions(spec).overall:
+                    failures.append((name, s, "check_conditions"))
+                if subadditive.violations or concentration.violations:
+                    failures.append((name, s, "fuzz", subadditive, concentration))
+                for q in (1, 2):
+                    gfun.full_analysis(spec, q=q, lam=1.0)
+    assert failures == []
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_linear_is_refused_at_every_scale(c):
+    for s in _SCALES:
+        spec = penlq.linear(c * s)
+        assert not check_conditions(spec).not_linear_ok
+        with pytest.raises(penlq.ConditionViolationError, match="linear"):
+            penlq.analyze(spec)

@@ -91,6 +91,13 @@ def test_kink_points_raise(spec, kinks):
             p_d2(spec, kink)
 
 
+def test_kink_test_is_relative_to_the_kink():
+    spec = penlq.piecewise_linear(1.0, 0.0, 1e-13)
+    assert p_d1(spec, 1.5e-13) == 0.0  # the band point tau0, 5e-14 past the kink
+    with pytest.raises(NondifferentiableError):
+        p_d1(spec, 1e-13 * (1.0 + 1e-13))
+
+
 def test_derivatives_require_positive_t(mcp_spec):
     with pytest.raises(ValueError):
         p_d1(mcp_spec, 0.0)
@@ -191,6 +198,28 @@ def test_derivatives_match_finite_differences(specs):
         d2 = p_d2(spec, ts)
         assert np.all(np.abs(d1 - central_d1(spec, ts)) <= 1e-5 * np.maximum(1.0, np.abs(d1)))
         assert np.all(np.abs(d2 - central_d2(spec, ts)) <= 1e-5 * np.maximum(1.0, np.abs(d2)))
+
+
+@pytest.mark.parametrize("spec", [penlq.log_penalty(1e150), penlq.log_penalty(1e300),
+                                  penlq.fraction(1e150), penlq.fraction(1e300)], ids=str)
+def test_second_derivative_does_not_overflow_for_large_gamma(spec):
+    # gamma**2 alone overflows at 1e300; p'' itself is of order 1e-3 (log)
+    # or 1/gamma (fraction)
+    with np.errstate(over="raise", invalid="raise"):
+        ts = np.linspace(0.75, 1.0, 7)
+        d2 = p_d2(spec, ts)
+    assert np.all(np.isfinite(d2)) and np.all(d2 < 0.0)
+    if spec.family == "log":
+        assert np.allclose(d2, central_d2(spec, ts), rtol=1e-5, atol=0.0)
+
+
+def test_analyze_refuses_constants_that_overflow():
+    for spec in (penlq.mcp(1e300, 1.0), penlq.scad(1.0, 1e308), penlq.hard_threshold(1e300)):
+        with pytest.raises(ValueError, match=f"{spec.family} .*overflow a float"):
+            analyze(spec)
+    assert analyze(penlq.log_penalty(1e300)).k_bound == pytest.approx(
+        1.0 / (0.75**2 * np.log1p(1e300)), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(
