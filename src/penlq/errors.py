@@ -3,10 +3,11 @@
 The CLI maps the exceptions onto process exit codes, so raising the right
 class matters: see ``penlq.cli``.  :func:`_is_integer` and :func:`_is_real`
 are the one test for "is this a number?", asked by every entry point that
-takes one (counts through :func:`_require_count`); a no raises ValueError
-there, never a coercion.
+takes one, and each rule on a number is stated here once (the _require_*
+helpers); a no raises ValueError there, never a coercion.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -28,9 +29,34 @@ def _is_real(value) -> bool:
         return False
 
 
-def _require_count(name: str, value, floor: int) -> None:
+_MAX_SIZE = 10**6  # most grid points or fuzz trials one call may ask for
+
+
+def _require_count(name: str, value, floor: int, ceiling: int | None = None) -> None:
     if not (_is_integer(value) and value >= floor):
         raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    if ceiling is not None and value > ceiling:
+        raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
+
+
+_REAL_RULES = {  # rule -> (what the value must be, the test it must pass)
+    "": ("a finite number", lambda v: True),
+    "positive": ("a positive finite number", lambda v: v > 0.0),
+    "non-negative": ("a non-negative finite number", lambda v: v >= 0.0),
+    ">= 1": ("a finite number >= 1", lambda v: v >= 1.0),
+}
+
+
+def _require_real(name: str, value, rule: str = "") -> float:
+    """``value`` as a float if it is a finite number obeying ``rule``, a key of _REAL_RULES."""
+    text, ok = _REAL_RULES[rule]
+    if not (_is_real(value) and ok(value)):
+        raise ValueError(f"{name} must be {text}, got {value!r}")
+    return float(value)
+
+
+_require_q = functools.partial(_require_real, "q", rule=">= 1")
+_require_lam = functools.partial(_require_real, "lam", rule="positive")
 
 
 class PenlqError(Exception):

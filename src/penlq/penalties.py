@@ -30,7 +30,7 @@ accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -44,15 +44,13 @@ class PenaltySpec:
     """A penalty family plus its validated parameters.
 
     Immutable after construction; invalid parameters raise ``ValueError``
-    immediately rather than surfacing later as nonsense constants.  Hashable,
-    in agreement with ``==``, so a spec can key a cache.
+    immediately rather than surfacing later as nonsense constants.  Only this
+    module reads the registry, passing params (read-only floats) as keywords.
+    Hashable, in agreement with ``==``, so a spec can key a cache.
     """
 
     family: str
     params: Mapping[str, float]
-    # The same values as a plain dict, to pass to the formulas: ** on a dict
-    # costs a third of ** on the read-only params view, once per p_eval.
-    _kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _REGISTRY:
@@ -72,12 +70,11 @@ class PenaltySpec:
         if record.joint is not None and not record.joint[1](**params):
             raise ValueError(f"{self.family}: requires {record.joint[0]}")
         object.__setattr__(self, "params", MappingProxyType(params))
-        object.__setattr__(self, "_kwargs", params)
 
     def __hash__(self):
         # equal specs hold equal float params, in any order; -0.0 and 0.0
         # compare and hash alike
-        return hash((self.family, frozenset(self._kwargs.items())))
+        return hash((self.family, frozenset(self.params.items())))
 
 
 def l0() -> PenaltySpec:
@@ -147,7 +144,7 @@ def p_eval(spec: PenaltySpec, t):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0):  # also rejects NaN
         raise ValueError("p_eval: t must be non-negative")
-    out = _REGISTRY[spec.family].value(t_arr, **spec._kwargs)
+    out = _REGISTRY[spec.family].value(t_arr, **spec.params)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -163,19 +160,19 @@ def p_d2(spec: PenaltySpec, t):
 
 def kink_points(spec: PenaltySpec) -> tuple[float, ...]:
     """Points in (0, inf) where p' or p'' jumps, per family."""
-    return _REGISTRY[spec.family].kinks(**spec._kwargs)
+    return _REGISTRY[spec.family].kinks(**spec.params)
 
 
 def band(spec: PenaltySpec) -> tuple[float, float, float]:
     """(tau, tau0, tau_hat): the family's smooth band [tau0, tau] and its anchor."""
-    return _REGISTRY[spec.family].band(**spec._kwargs)
+    return _REGISTRY[spec.family].band(**spec.params)
 
 
 def _float_eval(spec: PenaltySpec):
     """Plain-float p for ``spec``: a function of one float t >= 0 that agrees
     with :func:`p_eval` to rounding, without numpy's per-call overhead.
     Unchecked: the caller passes |t|."""
-    return _REGISTRY[spec.family].scalar(**spec._kwargs)
+    return _REGISTRY[spec.family].scalar(**spec.params)
 
 
 def _derivative(spec: PenaltySpec, t, field: str):
@@ -189,7 +186,7 @@ def _derivative(spec: PenaltySpec, t, field: str):
             raise NondifferentiableError(
                 f"{spec.family}: derivative undefined at kink t = {kink}"
             )
-    out = getattr(_REGISTRY[spec.family], field)(t_arr, **spec._kwargs)
+    out = getattr(_REGISTRY[spec.family], field)(t_arr, **spec.params)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -394,6 +391,13 @@ def c1_margin(spec: PenaltySpec, tau0: float) -> tuple[float, bool]:
     return c1, c1 > _SLACK * abs(top) / tau0
 
 
+def _require_finite(spec: PenaltySpec, what: str, **numbers: float) -> None:
+    """The one representability rule: ValueError naming spec unless ``numbers`` are finite."""
+    if not all(math.isfinite(v) for v in numbers.values()):
+        shown = ", ".join(f"{name} = {v:.3g}" for name, v in numbers.items())
+        raise ValueError(f"{spec.family} {dict(spec.params)}: {what} overflow a float ({shown})")
+
+
 def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     """Compute the analysis constants, rejecting inadmissible penalties.
 
@@ -404,9 +408,7 @@ def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     tau, tau0, tau_hat = band(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         (c1, bends), d2 = c1_margin(spec, tau0), p_d2(spec, tau0)
-    if not (math.isfinite(c1) and math.isfinite(d2)):
-        raise ValueError(f"{spec.family} {dict(spec.params)}: the analysis constants overflow "
-                         f"a float (c1 = {c1:.3g}, p''(tau0) = {d2:.3g})")
+    _require_finite(spec, "the analysis constants", c1=c1, **{"p''(tau0)": d2})
     if not bends:
         raise ConditionViolationError(
             f"{spec.family}: penalty is linear on [0, {tau0:g}] (c1 = {c1:.3g}); "

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _is_integer, _require_count
-from .gfun import GAnalysis, GParams, _require_lam, _require_q, full_analysis
+from .errors import _is_integer, _require_count, _require_lam, _require_q
+from .gfun import GAnalysis, GParams, full_analysis
 from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 
 @dataclass(frozen=True)

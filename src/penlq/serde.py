@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _is_real
+from .errors import _is_real, _require_real
 from .penalties import PenaltySpec, spec_from_dict, spec_to_dict
 from .reduction import (
     ReductionInstance, ThreePartitionInstance, as_solution_matrix, build, optimal_bound,
@@ -109,7 +109,8 @@ def instance_from_dict(data: dict) -> ReductionInstance:
     """
     red = build(
         instance_tp(data), spec_from_dict(data["penalty"]),
-        q=_float(data, "q"), lam=_float(data, "lambda"),
+        q=_require_real("instance 'q'", data["q"]),
+        lam=_require_real("instance 'lambda'", data["lambda"]),
     )
     rebuilt = instance_to_dict(red)
     shared = rebuilt.keys() & data.keys()
@@ -118,13 +119,6 @@ def instance_from_dict(data: dict) -> ReductionInstance:
         raise ValueError("instance file does not match the instance rebuilt from its "
                          f"recipe: keys {differ} differ")
     return red
-
-
-def _float(data: dict, key: str) -> float:
-    value = data[key]
-    if not _is_real(value):
-        raise ValueError(f"instance {key!r} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def load_instance(path) -> ReductionInstance:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decode import decide
-from .errors import SizeGuardError, _is_real, _require_count
+from .errors import SizeGuardError, _require_count, _require_real
 from .penalties import _float_eval, kink_points
 from .reduction import (
     ProblemInstance, ReductionInstance, _certificate, as_solution_matrix, objective, optimal_bound,
@@ -248,11 +248,9 @@ def local_descent(
         raise ValueError(f"x0 must have {problem.cols} entries, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    if not (_is_real(step) and step > 0.0):
-        raise ValueError(f"step must be a positive finite number, got {step!r}")
+    _require_real("step", step, "positive")
     _require_count("max_iters", max_iters, 0)
-    if not (_is_real(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
+    _require_real("tol", tol, "non-negative")
 
     a = problem.a_matrix
     columns = []

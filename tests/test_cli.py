@@ -674,7 +674,12 @@ def test_decode_of_an_x_whose_objective_overflows_is_unknown_and_quiet(capsys, t
     assert (code, err) == (3, "") and json.loads(out)["verdict"] == "unknown"
 
 
-@pytest.mark.parametrize("text", ["[1]", "null", '"tp"'])
+@pytest.mark.parametrize("text", [
+    "[1]", "null", '"tp"',
+    # no penalty key: refused before the size guard, which m = 5 would trip
+    pytest.param('{"tp": {"m": 5, "b": [' + ", ".join(["1"] * 15) + ']}, "q": 2, "lambda": 1}',
+                 id="missing-penalty"),
+])
 def test_non_object_instance_file_is_usage_error(capsys, tmp_path, text):
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     inst.write_text(text)
@@ -737,6 +742,30 @@ def test_gfun_analyze_refuses_constants_that_overflow(capsys, tmp_path):
     code, out, err = run(capsys, "gfun", "analyze", "--spec", spec, "--q", "2", "--lambda", "1")
     assert code == 1 and out == "" and "mcp {'gamma': 1e+300, 'b': 1.0}" in err
     assert "overflow a float" in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"gamma": 1e300, "a": 3.0}, "scad {'gamma': 1e+300, 'a': 3.0}: the condition checks "
+                                 "overflow a float (max|p| = nan"),
+    ({"gamma": 1e308, "a": 3.0}, "scad {'gamma': 1e+308, 'a': 3.0}: the condition grids "
+                                 "overflow a float (2*tau = inf)"),
+], ids=["scad-1e300", "scad-1e308"])
+def test_penalty_check_names_a_penalty_a_float_cannot_hold(capsys, tmp_path, params, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "penalty", "check", "--spec",
+                             _spec_file(tmp_path, "scad", **params))
+    assert code == 1 and out == "" and message in err and "Warning" not in err
+
+
+def test_penalty_check_reports_a_penalty_that_underflows_to_zero(capsys, tmp_path):
+    # gamma**2 = 1e-600 is 0 in floats, so p is 0 on the whole grid: linear,
+    # as analyze says, with finite report numbers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "penalty", "check", "--spec",
+                             _spec_file(tmp_path, "hard_threshold", gamma=1e-300))
+    assert code == 2 and json.loads(out)["not_linear"] is False and err == ""
 
 
 _SCALE_PARAMS = {

@@ -131,6 +131,11 @@ def test_classify_validates_sum(mcp_spec, mcp_analysis):
         classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, (0.5, 0.3))
 
 
+def test_classify_validates_length(mcp_spec, mcp_analysis):
+    with pytest.raises(ValueError, match="at least two entries"):
+        classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, [0.7])
+
+
 def test_classify_validates_t_tilde(mcp_spec, mcp_analysis):
     with pytest.raises(ValueError):
         classify_split(mcp_spec, mcp_analysis, 0.9, 0.01, (0.9, 0.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,29 @@ def test_shape_certificate_across_parametrizations(spec, q):
     an, params, _ = full_analysis(spec, q=q, lam=1.0)
     report = verify_g_shape(spec, an, params, n_samples=300)
     assert report.overall, report
+
+
+def test_shape_certificate_on_narrow_bands():
+    # bands from about 1e-300 wide up to 1e20, most of the admitted ones
+    # narrower than 1e-9
+    makers = (penlq.hard_threshold, lambda s: penlq.scad(s, 3.0), lambda s: penlq.mcp(s, 2.0),
+              penlq.clipped_l1, lambda s: penlq.piecewise_linear(2.0, 0.5, s))
+    narrow = 0
+    for make in makers:
+        for s in (10.0**e for e in range(-300, 21, 10)):
+            for q in (1.25, 1.5, 1.75):
+                spec = make(s)
+                try:
+                    an, params, _ = full_analysis(spec, q=q, lam=1.0)
+                except (ConditionViolationError, ValueError):  # p underflows, or q is too large
+                    continue
+                with warnings.catch_warnings():
+                    # near 1e-150 the curvature exceeds float range: inf still passes >= 1
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    report = verify_g_shape(spec, an, params)
+                assert report.overall, (spec, q, report)
+                narrow += an.tau - an.tau0 < 2e-9
+    assert narrow >= 200
 
 
 def test_full_analysis_cache_equals_fresh_computation():

@@ -119,6 +119,7 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: PenaltySpec("mcp", {"gamma": True, "b": 1.0}),  # bool is not a number
         lambda: PenaltySpec("mcp", {"gamma": 1.0, "b": "1.5"}),  # nor is a string
         lambda: spec_from_dict({"family": "mcp", "params": [1, 2]}),
+        lambda: spec_from_dict([{"family": "mcp"}]),  # not an object
         lambda: penlq.mcp(10**400, 1.0),  # no float holds it
         lambda: penlq.mcp(Fraction(1, 2), 1.0),  # nor is a Fraction a float
     ],

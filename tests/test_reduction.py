@@ -193,11 +193,21 @@ def test_problem_instance_requires_finite_matrix_and_target(mcp_spec, a, target)
 def test_objective_dimension_mismatch(demo_instance):
     with pytest.raises(ValueError):
         objective(demo_instance, np.zeros((6, 3)))
+    with pytest.raises(ValueError, match="x must have 12 entries, got 11"):
+        demo_instance.problem.objective(np.zeros(11))
+
+
+@pytest.mark.parametrize("a, target", [(np.eye(2), np.zeros(3)), (np.ones(2), np.zeros(2))])
+def test_problem_instance_requires_one_target_entry_per_row(mcp_spec, a, target):
+    with pytest.raises(ValueError, match="one target entry per row"):
+        penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
 
 
 def test_encode_rejects_malformed_partitions(demo_instance):
     with pytest.raises(ValueError):
-        encode_certificate(demo_instance, [[1, 2, 3]])  # wrong subset count
+        encode_certificate(demo_instance, [[1, 2, 3]])  # items 4-6 missing
+    with pytest.raises(ValueError, match="must have 2 subsets, got 3"):
+        encode_certificate(demo_instance, [[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
         encode_certificate(demo_instance, [[1, 2, 3], [4, 5]])  # item 6 missing
     with pytest.raises(ValueError):

@@ -187,6 +187,7 @@ def test_yes_instance_certificate_among_optima(mcp_spec):
     [
         {"x0": np.full(12, np.nan)},
         {"x0": np.r_[np.zeros(11), np.inf]},
+        {"x0": np.zeros(11)},
         {"step": 0.0},
         {"step": -0.1},
         {"step": float("nan")},
