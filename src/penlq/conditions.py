@@ -26,9 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _MAX_SIZE, _require_count
-from .penalties import (
-    _SLACK, PenaltyAnalysis, PenaltySpec, _require_finite, analyze, band, c1_margin, p_eval,
-)
+from .penalties import _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
 
 
 @dataclass(frozen=True)
@@ -47,18 +45,15 @@ class ConditionReport:
     overall: bool
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite: refused at the end
 def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     """Verify the admissibility conditions on uniform grids.
 
     100 <= grid_n <= 10**6 points are used per check (ValueError otherwise);
     the report records grid_n since the certificate is only as fine as the
-    grid.  Deterministic: identical inputs produce identical reports.  Raises
-    ValueError naming the penalty if 2*tau, p or a reported number overflows.
+    grid.  Deterministic: identical inputs produce identical reports.
     """
     _require_count("grid_n", grid_n, 100, _MAX_SIZE)
     tau, tau0, _ = band(spec)
-    _require_finite(spec, "the condition grids", **{"2*tau": 2.0 * tau})
 
     # Monotone on [0, 2*tau], up to _SLACK of max|p| on the grid.
     grid = np.linspace(0.0, 2.0 * tau, grid_n)
@@ -88,13 +83,11 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     # jump by more than 1e-3 (truncation) of the curvature k_ref + p(tau)/tau**2.
     sgrid = np.linspace(tau0, tau, grid_n)
     svals = p_eval(spec, sgrid)
-    eta, e = np.frexp(sgrid[1] - sgrid[0])  # step = eta*2**e, rescaled exactly: no underflow
-    fd2 = np.ldexp(svals[2:] - 2.0 * svals[1:-1] + svals[:-2], -2 * e) / (eta * eta)
+    step = sgrid[1] - sgrid[0]
+    fd2 = (svals[2:] - 2.0 * svals[1:-1] + svals[:-2]) / (step * step)
     k_ref = max(0.0, float(np.max(-fd2)))
     max_jump = float(np.max(np.abs(np.diff(fd2))))
     smooth_ok = max_jump <= 1e-3 * (k_ref + abs(float(svals[-1])) / tau / tau)
-    _require_finite(spec, "the condition checks", **{
-        "max|p|": float(np.max(np.abs(vals))), "c1": c1, "max_second_diff_jump": max_jump})
 
     return ConditionReport(
         monotone_ok=monotone_ok,

@@ -3,8 +3,9 @@
 The CLI maps the exceptions onto process exit codes, so raising the right
 class matters: see ``penlq.cli``.  :func:`_is_integer` and :func:`_is_real`
 are the one test for "is this a number?", asked by every entry point that
-takes one, and each rule on a number is stated here once (the _require_*
-helpers); a no raises ValueError there, never a coercion.
+takes one, :func:`_is_parameter` the one range of a penalty parameter, and
+each rule on a number is stated here once (the _require_* helpers); a no
+raises ValueError there, never a coercion.
 """
 
 import functools
@@ -27,6 +28,13 @@ def _is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def _is_parameter(value) -> bool:
+    """0 or a number of magnitude in [1e-100, 1e100]: any product of three,
+    the deepest a penalty formula goes (mcp's cap b*gamma**2/2), is then a
+    normal float, and no penalty formula overflows or divides by 0."""
+    return _is_real(value) and (value == 0 or 1e-100 <= abs(value) <= 1e100)
 
 
 _MAX_SIZE = 10**6  # most grid points or fuzz trials one call may ask for

@@ -147,18 +147,25 @@ def rationalize(
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
     thresholds.  Raises ValueError unless lam is finite and positive and q
-    is finite and at least 1 (bools are rejected for both), and when q is so
-    large that mu_lower * theta overflows a float.
+    is finite and at least 1 (bools are rejected for both), when q is so
+    large that mu_lower * theta overflows a float, and, naming q and lam,
+    when lam is so small that theta or mu = root**q / lam overflows.
     """
     _require_q(q)
     _require_lam(lam)
+
+    def coefficient(name: str, root: float) -> float:
+        if not math.isfinite(value := root**q / lam):
+            raise ValueError(f"q = {q!r}, lambda = {lam!r}: {name} = root**q / lambda "
+                             "overflows a float")
+        return value
+
     if q == 1.0:
         mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0)
-        return GParams(
-            q=q, theta=0.0, mu=mu_root / lam, tau_hat=tau_hat, theta_root=0.0, mu_root=mu_root
-        )
+        return GParams(q=q, theta=0.0, mu=coefficient("mu", mu_root), tau_hat=tau_hat,
+                       theta_root=0.0, mu_root=mu_root)
     theta_root = _dyadic_root_ceil(theta_lower, lam, q)
-    theta = theta_root**q / lam
+    theta = coefficient("theta", theta_root)
     mu_target = mu_lower * theta
     if not math.isfinite(mu_target):
         raise ValueError(f"q = {q!r} too large: mu_lower * theta = {mu_lower!r} * {theta!r} "
@@ -171,7 +178,7 @@ def rationalize(
     return GParams(
         q=q,
         theta=theta,
-        mu=mu_root**q / lam,
+        mu=coefficient("mu", mu_root),
         tau_hat=tau_hat,
         theta_root=theta_root,
         mu_root=mu_root,
@@ -224,16 +231,15 @@ def minimize_g(
     _require_bounds(spec, analysis, params)
     q, theta, mu, tau_hat = params.q, params.theta, params.mu, params.tau_hat
     lo, hi = analysis.tau0, analysis.tau
-    with np.errstate(over="ignore"):  # log's p' denominator overflows near gamma = 1e308: p' = 0
-        while lo < (t := 0.5 * (lo + hi)) < hi:
-            d = np.float64(t - tau_hat)  # numpy powers give inf where g_eval's do
-            slope = p_d1(spec, t) + q * (
-                theta * np.float64(t) ** (q - 1.0) + mu * np.sign(d) * np.abs(d) ** (q - 1.0)
-            )
-            if slope < 0.0:
-                lo = t
-            else:
-                hi = t
+    while lo < (t := 0.5 * (lo + hi)) < hi:
+        d = np.float64(t - tau_hat)  # numpy powers give inf where g_eval's do
+        slope = p_d1(spec, t) + q * (
+            theta * np.float64(t) ** (q - 1.0) + mu * np.sign(d) * np.abs(d) ** (q - 1.0)
+        )
+        if slope < 0.0:
+            lo = t
+        else:
+            hi = t
     g_lo, g_hi = g_eval(spec, params, lo), g_eval(spec, params, hi)
     return (hi, g_hi) if g_hi < g_lo else (lo, g_lo)
 

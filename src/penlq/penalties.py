@@ -36,16 +36,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConditionViolationError, NondifferentiableError, _is_real
+from .errors import ConditionViolationError, NondifferentiableError, _is_parameter
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
     """A penalty family plus its validated parameters.
 
-    Immutable after construction; invalid parameters raise ``ValueError``
-    immediately rather than surfacing later as nonsense constants.  Only this
-    module reads the registry, passing params (read-only floats) as keywords.
+    Immutable after construction; invalid parameters, including any outside
+    the range of ``_is_parameter``, raise ``ValueError`` immediately rather
+    than surfacing later as nonsense constants.  Only this module reads the
+    registry, passing params (read-only floats) as keywords.
     Hashable, in agreement with ``==``, so a spec can key a cache.
     """
 
@@ -64,7 +65,7 @@ class PenaltySpec:
             raise ValueError(f"{self.family}: unexpected parameters {extra}")
         for name, ok in record.params.items():
             value = self.params[name]
-            if not (_is_real(value) and ok(value)):
+            if not (_is_parameter(value) and ok(value)):
                 raise ValueError(f"{self.family}: parameter {name}={value!r} out of range")
         params = {k: float(v) for k, v in self.params.items()}
         if record.joint is not None and not record.joint[1](**params):
@@ -391,24 +392,14 @@ def c1_margin(spec: PenaltySpec, tau0: float) -> tuple[float, bool]:
     return c1, c1 > _SLACK * abs(top) / tau0
 
 
-def _require_finite(spec: PenaltySpec, what: str, **numbers: float) -> None:
-    """The one representability rule: ValueError naming spec unless ``numbers`` are finite."""
-    if not all(math.isfinite(v) for v in numbers.values()):
-        shown = ", ".join(f"{name} = {v:.3g}" for name, v in numbers.items())
-        raise ValueError(f"{spec.family} {dict(spec.params)}: {what} overflow a float ({shown})")
-
-
 def analyze(spec: PenaltySpec) -> PenaltyAnalysis:
     """Compute the analysis constants, rejecting inadmissible penalties.
 
-    Raises ValueError when c1 or p''(tau0) overflows a float, and
-    :class:`ConditionViolationError` when p is linear on [0, tau0] (the
-    linear/LASSO family, in particular).
+    Raises :class:`ConditionViolationError` when p is linear on [0, tau0]
+    (the linear/LASSO family, in particular).
     """
     tau, tau0, tau_hat = band(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (c1, bends), d2 = c1_margin(spec, tau0), p_d2(spec, tau0)
-    _require_finite(spec, "the analysis constants", c1=c1, **{"p''(tau0)": d2})
+    (c1, bends), d2 = c1_margin(spec, tau0), p_d2(spec, tau0)
     if not bends:
         raise ConditionViolationError(
             f"{spec.family}: penalty is linear on [0, {tau0:g}] (c1 = {c1:.3g}); "

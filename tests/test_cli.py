@@ -1,6 +1,5 @@
 import json
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -737,38 +736,8 @@ def test_gfun_analyze_at_a_breakpoint_of_1e_13(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
-def test_gfun_analyze_refuses_constants_that_overflow(capsys, tmp_path):
-    spec = _spec_file(tmp_path, "mcp", gamma=1e300, b=1.0)
-    code, out, err = run(capsys, "gfun", "analyze", "--spec", spec, "--q", "2", "--lambda", "1")
-    assert code == 1 and out == "" and "mcp {'gamma': 1e+300, 'b': 1.0}" in err
-    assert "overflow a float" in err
-
-
-@pytest.mark.parametrize("params, message", [
-    ({"gamma": 1e300, "a": 3.0}, "scad {'gamma': 1e+300, 'a': 3.0}: the condition checks "
-                                 "overflow a float (max|p| = nan"),
-    ({"gamma": 1e308, "a": 3.0}, "scad {'gamma': 1e+308, 'a': 3.0}: the condition grids "
-                                 "overflow a float (2*tau = inf)"),
-], ids=["scad-1e300", "scad-1e308"])
-def test_penalty_check_names_a_penalty_a_float_cannot_hold(capsys, tmp_path, params, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, "penalty", "check", "--spec",
-                             _spec_file(tmp_path, "scad", **params))
-    assert code == 1 and out == "" and message in err and "Warning" not in err
-
-
-def test_penalty_check_reports_a_penalty_that_underflows_to_zero(capsys, tmp_path):
-    # gamma**2 = 1e-600 is 0 in floats, so p is 0 on the whole grid: linear,
-    # as analyze says, with finite report numbers
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, "penalty", "check", "--spec",
-                             _spec_file(tmp_path, "hard_threshold", gamma=1e-300))
-    assert code == 2 and json.loads(out)["not_linear"] is False and err == ""
-
-
 _SCALE_PARAMS = {
+    "bridge": {"p": 0.5},
     "hard_threshold": {"gamma": 1.0},
     "scad": {"gamma": 1.0, "a": 3.0},
     "mcp": {"gamma": 1.0, "b": 1.0},
@@ -777,28 +746,64 @@ _SCALE_PARAMS = {
     "log": {"gamma": 1.0},
     "linear": {"k": 1.0},
 }
-_EXTREME_SPECS = [
-    (family, {**params, name: value})
-    for family, params in _SCALE_PARAMS.items()
-    for name in params
-    for value in (1e-300, 1e300)
-]
 _VERBS = {
     "check": ("penalty", "check"),
     "fuzz": ("penalty", "fuzz"),
-    "analyze": ("gfun", "analyze", "--q", "2", "--lambda", "1"),
+    "analyze-q1": ("gfun", "analyze", "--q", "1", "--lambda", "1"),
+    "analyze-q2": ("gfun", "analyze", "--q", "2", "--lambda", "1"),
     "build": ("reduce", "build", "--q", "2", "--lambda", "1"),
 }
 
 
-@pytest.mark.parametrize("verb", sorted(_VERBS))
-@pytest.mark.parametrize("family, params", _EXTREME_SPECS,
-                         ids=[f"{f}-{json.dumps(p)}" for f, p in _EXTREME_SPECS])
-def test_extreme_parameters_exit_cleanly(capsys, tmp_path, tp_file, family, params, verb):
+def _run_verb(capsys, tmp_path, tp_file, verb, family, params):
     argv = [*_VERBS[verb], "--spec", _spec_file(tmp_path, family, **params)]
     if verb == "build":
         argv += ["--in", tp_file, "--out", str(tmp_path / "inst.json")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's over- and underflow notes
-        code, _, err = run(capsys, *argv)
+    return run(capsys, *argv)
+
+
+def _one_changed(values):
+    """(family, params, name) with one parameter set to each of ``values``."""
+    return [(family, {**params, name: value}, name)
+            for family, params in _SCALE_PARAMS.items() for name in params for value in values]
+
+
+_EDGE_SPECS = _one_changed((1e-100, 1e100))  # the ends of the parameter range
+# Outside the range.  Before the range rule each of these six ended, on some
+# verb, in a traceback, an exit 0 with "ok": true and numpy overflow warnings,
+# an exit 4, or exit codes that disagreed between verbs.
+_NAMED_REFUSALS = {
+    "hard_threshold(5e-324)": ("hard_threshold", {"gamma": 5e-324}, "gamma"),
+    "mcp(5e-324, 1)": ("mcp", {"gamma": 5e-324, "b": 1.0}, "gamma"),
+    "hard_threshold(1e-320)": ("hard_threshold", {"gamma": 1e-320}, "gamma"),
+    "piecewise_linear(2, 0.5, 5e-324)": ("piecewise_linear", {"k1": 2.0, "k2": 0.5, "a": 5e-324},
+                                         "a"),
+    "piecewise_linear(1e308, 0.5, 1)": ("piecewise_linear", {"k1": 1e308, "k2": 0.5, "a": 1.0},
+                                        "k1"),
+    "log(1e308)": ("log", {"gamma": 1e308}, "gamma"),
+}
+_REFUSED_SPECS = {
+    **_NAMED_REFUSALS,
+    **{f"{family}-{name}={params[name]!r}": (family, params, name)
+       for family, params, name in _one_changed((5e-324, 1e-320, 9e-101, 1.1e100, 1e300, 1e308))
+       if (family, params, name) not in _NAMED_REFUSALS.values()},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+@pytest.mark.parametrize("family, params, name", _EDGE_SPECS,
+                         ids=[f"{f}-{n}={p[n]!r}" for f, p, n in _EDGE_SPECS])
+def test_extreme_parameters_exit_cleanly(capsys, tmp_path, tp_file, family, params, name, verb):
+    # in range: a verdict or a q- or lambda-dependent refusal, and no numpy
+    # warning (warnings are errors here)
+    code, _, err = _run_verb(capsys, tmp_path, tp_file, verb, family, params)
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", sorted(_VERBS))
+@pytest.mark.parametrize("family, params, name", _REFUSED_SPECS.values(), ids=_REFUSED_SPECS)
+def test_parameters_out_of_range_exit_1_on_every_verb(capsys, tmp_path, tp_file, family, params,
+                                                      name, verb):
+    code, out, err = _run_verb(capsys, tmp_path, tp_file, verb, family, params)
+    assert (code, out) == (1, "")
+    assert err == f"penlq: error: {family}: parameter {name}={params[name]!r} out of range\n"

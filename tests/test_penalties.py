@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: spec_from_dict({"family": "mcp", "params": [1, 2]}),
         lambda: spec_from_dict([{"family": "mcp"}]),  # not an object
         lambda: penlq.mcp(10**400, 1.0),  # no float holds it
+        lambda: penlq.mcp(1e-101, 1.0),  # magnitude below 1e-100
+        lambda: penlq.linear(-1.1e100),  # magnitude above 1e100
         lambda: penlq.mcp(Fraction(1, 2), 1.0),  # nor is a Fraction a float
     ],
 )
@@ -201,26 +204,33 @@ def test_derivatives_match_finite_differences(specs):
         assert np.all(np.abs(d2 - central_d2(spec, ts)) <= 1e-5 * np.maximum(1.0, np.abs(d2)))
 
 
-@pytest.mark.parametrize("spec", [penlq.log_penalty(1e150), penlq.log_penalty(1e300),
-                                  penlq.fraction(1e150), penlq.fraction(1e300)], ids=str)
-def test_second_derivative_does_not_overflow_for_large_gamma(spec):
-    # gamma**2 alone overflows at 1e300; p'' itself is of order 1e-3 (log)
-    # or 1/gamma (fraction)
+@pytest.mark.parametrize("spec", [penlq.log_penalty(1e100), penlq.fraction(1e100)], ids=str)
+def test_second_derivative_is_finite_at_the_largest_gamma(spec):
+    # p'' is of order 1e-3 (log) or 1/gamma (fraction)
     with np.errstate(over="raise", invalid="raise"):
         ts = np.linspace(0.75, 1.0, 7)
         d2 = p_d2(spec, ts)
     assert np.all(np.isfinite(d2)) and np.all(d2 < 0.0)
     if spec.family == "log":
         assert np.allclose(d2, central_d2(spec, ts), rtol=1e-5, atol=0.0)
+        assert analyze(spec).k_bound == pytest.approx(
+            1.0 / (0.75**2 * np.log1p(1e100)), rel=1e-12
+        )
 
 
-def test_analyze_refuses_constants_that_overflow():
-    for spec in (penlq.mcp(1e300, 1.0), penlq.scad(1.0, 1e308), penlq.hard_threshold(1e300)):
-        with pytest.raises(ValueError, match=f"{spec.family} .*overflow a float"):
-            analyze(spec)
-    assert analyze(penlq.log_penalty(1e300)).k_bound == pytest.approx(
-        1.0 / (0.75**2 * np.log1p(1e300)), rel=1e-12
-    )
+@pytest.mark.parametrize("make", [
+    lambda g: penlq.mcp(g, 1.0), lambda g: penlq.scad(g, 3.0), penlq.hard_threshold,
+    penlq.log_penalty,
+], ids=["mcp", "scad", "hard_threshold", "log"])
+def test_parameters_beyond_1e100_are_refused_at_construction(make):
+    # 1e100 is the largest magnitude gamma may have, and its constants are
+    # finite; larger ones never reach analyze
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        an = analyze(make(1e100))
+    assert all(np.isfinite(v) for v in vars(an).values())
+    for value in (1e150, 1e300, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f": parameter gamma={value!r} out of range")):
+            make(value)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,19 @@
 """End-to-end sweeps: build -> solve -> decode across families and exponents."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import penlq
-from penlq import ThreePartitionInstance, build, decide, minimize_structured, solve
+from penlq import (
+    ConditionViolationError, ThreePartitionInstance, build, check_conditions, decide,
+    full_analysis, fuzz_concentration, fuzz_subadditivity, minimize_structured, solve,
+    verify_g_shape,
+)
 
 from conftest import all_admissible_specs
 from oracles import NO_INSTANCES, YES_INSTANCES, global_minimum_l0, three_partition_oracle
@@ -104,3 +112,67 @@ def test_l0_global_minimum_separates_yes_from_no(b, lam):
         # the best x splits one item over two subsets and pays one more lam
         assert value >= bound + red.epsilon
         assert abs(value - bound - lam) <= 1e-9
+
+
+_EDGES = (0.0, 1e-100, 1e100)  # zero and the ends of the parameter range
+_OWN_BOUNDS = {  # family -> parameter -> values at the family's own bounds
+    "l0": {},
+    "bridge": {"p": (math.nextafter(1.0, 0.0),)},
+    "hard_threshold": {"gamma": ()},
+    "scad": {"gamma": (), "a": (math.nextafter(2.0, 3.0),)},
+    "mcp": {"gamma": (), "b": (1.0,)},
+    "piecewise_linear": {"k1": (), "k2": (math.nextafter(1e100, 0.0),), "a": ()},
+    "fraction": {"gamma": ()},
+    "log": {"gamma": ()},
+    "linear": {"k": (-1e-100, -1e100)},
+}
+
+
+def _corner_specs(family):
+    """Every spec of ``family`` whose parameters each sit at an edge or an own bound."""
+    names = tuple(_OWN_BOUNDS[family])
+    specs = []
+    for values in itertools.product(*(_EDGES + _OWN_BOUNDS[family][n] for n in names)):
+        try:
+            specs.append(penlq.PenaltySpec(family, dict(zip(names, values))))
+        except ValueError:  # outside the family's own rules
+            pass
+    return specs
+
+
+@pytest.mark.parametrize("family", penlq.FAMILIES)
+def test_parameter_range_corners_raise_no_floating_point_error(family):
+    # The parameter range keeps every product of three parameters a normal
+    # float, so nothing downstream needs an overflow guard: any over- or
+    # underflow to inf, NaN or a division by 0 raises here.  The linear-like
+    # corners (log near 1e-100, fraction near 1e100, b or a near 1e100,
+    # k2 one ulp below k1) are refused as linear; every other corner decodes.
+    specs = _corner_specs(family)
+    assert specs
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for spec in specs:
+            try:
+                penlq.analyze(spec)
+                admissible = True
+            except ConditionViolationError:
+                admissible = False
+            # at 10**6 points the smooth-band test reads rounding noise even
+            # for mcp(1, 1), so only the coarse grid's full verdict is asserted
+            coarse, fine = check_conditions(spec, 1000), check_conditions(spec, 10**6)
+            assert coarse.overall == admissible and fine.not_linear_ok == admissible, spec
+            for report in (coarse, fine):
+                assert math.isfinite(report.c1) and math.isfinite(report.max_second_diff_jump)
+            subadditive = fuzz_subadditivity(spec, trials=500)
+            if not admissible:
+                with pytest.raises(ConditionViolationError):
+                    fuzz_concentration(spec, trials=500)
+                with pytest.raises(ConditionViolationError):
+                    full_analysis(spec, 2.0, 1.0)
+                continue
+            assert subadditive.ok and fuzz_concentration(spec, trials=500).ok, spec
+            for q in (1.0, 1.5, 2.0, 3.0):
+                analysis, params, _ = full_analysis(spec, q, 1.0)
+                assert verify_g_shape(spec, analysis, params).overall, (spec, q)
+                red = build(TP_YES, spec, q=q, lam=1.0)
+                partition = decide(red, minimize_structured(red).x)
+                assert partition is not None and penlq.verify_equitable(TP_YES, partition), (spec, q)
