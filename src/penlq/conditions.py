@@ -80,14 +80,16 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     c1, not_linear_ok = c1_margin(spec, tau0)  # the rule of analyze
 
     # Smooth band: adjacent second finite differences on [tau0, tau] may not
-    # jump by more than 1e-3 (truncation) of the curvature k_ref + p(tau)/tau**2.
+    # jump by more than 1e-3 (truncation) of the curvature k_ref + p(tau)/tau**2
+    # plus 16*eps*max|p|/step**2: an error of eps*|p| per sample moves a jump half that.
     sgrid = np.linspace(tau0, tau, grid_n)
     svals = p_eval(spec, sgrid)
     step = sgrid[1] - sgrid[0]
     fd2 = (svals[2:] - 2.0 * svals[1:-1] + svals[:-2]) / (step * step)
     k_ref = max(0.0, float(np.max(-fd2)))
     max_jump = float(np.max(np.abs(np.diff(fd2))))
-    smooth_ok = max_jump <= 1e-3 * (k_ref + abs(float(svals[-1])) / tau / tau)
+    rounding = float(16.0 * np.finfo(float).eps * np.max(np.abs(svals)) / (step * step))
+    smooth_ok = max_jump <= 1e-3 * (k_ref + abs(float(svals[-1])) / tau / tau) + rounding
 
     return ConditionReport(
         monotone_ok=monotone_ok,

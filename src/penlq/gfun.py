@@ -20,7 +20,9 @@ None of these constants depends on the 3-partition items: they are fixed by
 (penalty, q, lam) alone, on one dyadic grid of step 2**-20, which is what
 keeps the reduction's numbers polynomially bounded.  :func:`full_analysis`
 therefore computes them once per key and hands the same frozen records to
-every later caller.
+every later caller.  It admits (penalty, q, lam) only when theta, mu and g on
+[-2*tau, 3*tau], the widest domain evaluated here, are finite floats, and
+otherwise raises one ValueError naming the family, q and lam.
 """
 
 from __future__ import annotations
@@ -107,28 +109,34 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
     return theta_lo, mu_lo
 
 
-def _dyadic_root_ceil(coef: float, lam: float, q: float) -> float:
-    """Smallest r = k / 2**_GRID_EXP (k integer >= 0) with r**q / lam >= coef.
+def _overflow(q: float, lam: float) -> ValueError:
+    """The one refusal of a (q, lam) whose theta, mu or g is not a finite float."""
+    return ValueError(f"q = {q!r}, lambda = {lam!r}: g overflows a float on [-2*tau, 3*tau]")
+
+
+def _dyadic_root_ceil(coef: float, lam: float, q: float) -> tuple[float, float]:
+    """(r, r**q / lam) for the smallest multiple r of 2**-_GRID_EXP with r**q / lam >= coef.
 
     The test is made on r**q / lam as computed, the very expression that
     becomes the coefficient, so float rounding can never leave the
     coefficient below coef.  A step below r's ulp goes to the adjacent float,
-    still on the grid.  Raises ValueError naming q and lam when lam * coef
-    or root * 2**_GRID_EXP overflows.
+    still on the grid.  Raises the ValueError of :func:`_overflow` when r or
+    r**q / lam is not a finite float (coef may be inf).
     """
     step = 2.0**-_GRID_EXP
-    scaled = (lam * coef) ** (1.0 / q) / step
-    if not math.isfinite(scaled):
-        raise ValueError(
-            f"q = {q!r}, lambda = {lam!r}: the q-th root of lambda * {coef!r} overflows the grid"
-        )
-    r = math.ceil(scaled) * step
-    # float rounding in the q-th root can leave r a step off either way
-    while r**q / lam < coef:
-        r = max(r + step, math.nextafter(r, math.inf))
-    while r > step and (down := min(r - step, math.nextafter(r, 0.0))) ** q / lam >= coef:
-        r = down
-    return r
+    try:
+        r = math.ceil((lam * coef) ** (1.0 / q) / step) * step
+        # float rounding in the q-th root can leave r a step off either way
+        while r**q / lam < coef:
+            r = max(r + step, math.nextafter(r, math.inf))
+        while r > step and (down := min(r - step, math.nextafter(r, 0.0))) ** q / lam >= coef:
+            r = down
+        value = r**q / lam
+    except OverflowError:  # the ceiling of inf, or r**q beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise _overflow(q, lam)
+    return r, value
 
 
 def rationalize(
@@ -147,42 +155,20 @@ def rationalize(
     snapped up to the next integer when that costs at most 5%, which keeps
     worked examples hand-checkable.  Output never falls below the requested
     thresholds.  Raises ValueError unless lam is finite and positive and q
-    is finite and at least 1 (bools are rejected for both), when q is so
-    large that mu_lower * theta overflows a float, and, naming q and lam,
-    when lam is so small that theta or mu = root**q / lam overflows.
+    is finite and at least 1 (bools are rejected for both), and, naming q
+    and lam, when theta or mu is not a finite float.
     """
     _require_q(q)
     _require_lam(lam)
-
-    def coefficient(name: str, root: float) -> float:
-        if not math.isfinite(value := root**q / lam):
-            raise ValueError(f"q = {q!r}, lambda = {lam!r}: {name} = root**q / lambda "
-                             "overflows a float")
-        return value
-
-    if q == 1.0:
-        mu_root = _dyadic_root_ceil(mu_lower, lam, 1.0)
-        return GParams(q=q, theta=0.0, mu=coefficient("mu", mu_root), tau_hat=tau_hat,
-                       theta_root=0.0, mu_root=mu_root)
-    theta_root = _dyadic_root_ceil(theta_lower, lam, q)
-    theta = coefficient("theta", theta_root)
-    mu_target = mu_lower * theta
-    if not math.isfinite(mu_target):
-        raise ValueError(f"q = {q!r} too large: mu_lower * theta = {mu_lower!r} * {theta!r} "
-                         "overflows a float")
-    mu_root = _dyadic_root_ceil(mu_target, lam, q)
+    theta_root, theta = _dyadic_root_ceil(theta_lower, lam, q) if q > 1.0 else (0.0, 0.0)
+    mu_target = mu_lower * theta if q > 1.0 else mu_lower
+    mu_root, mu = _dyadic_root_ceil(mu_target, lam, q)
     if q == 2.0:
         snap = float(math.ceil(math.sqrt(lam * mu_target)))
-        if mu_target <= snap * snap / lam <= 1.05 * mu_target:
-            mu_root = snap
-    return GParams(
-        q=q,
-        theta=theta,
-        mu=coefficient("mu", mu_root),
-        tau_hat=tau_hat,
-        theta_root=theta_root,
-        mu_root=mu_root,
-    )
+        if mu_target <= (snapped := snap**q / lam) <= 1.05 * mu_target:
+            mu_root, mu = snap, snapped
+    return GParams(q=q, theta=theta, mu=mu, tau_hat=tau_hat, theta_root=theta_root,
+                   mu_root=mu_root)
 
 
 def g_eval(spec: PenaltySpec, params: GParams, t):
@@ -348,6 +334,7 @@ def full_analysis(
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     """Run analyze -> lower_bounds -> rationalize -> minimize_g -> delta_bar.
 
+    Raises ValueError by the float rule of this module, or from lower_bounds.
     The result is memoized on (spec, q, lam) in a bounded least-recently-used
     cache shared by every caller.  q and lam are validated first, as
     :func:`rationalize` would (ValueError), and only then looked up.  The key
@@ -368,7 +355,15 @@ def _full_analysis(
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:
     analysis = analyze(spec)
     theta_lo, mu_lo = lower_bounds(spec, analysis, q)
-    params = rationalize(theta_lo, mu_lo, lam, q, tau_hat=analysis.tau_hat)
+    try:
+        params = rationalize(theta_lo, mu_lo, lam, q, tau_hat=analysis.tau_hat)
+        # each term of g peaks at an end, so g(-2*tau) + g(3*tau) bounds g between
+        with np.errstate(over="ignore"):
+            ends = g_eval(spec, params, (-2.0 * analysis.tau, 3.0 * analysis.tau))
+            if not np.isfinite(np.sum(ends)):
+                raise _overflow(q, lam)
+    except ValueError as exc:  # q and lam are valid here, so this is _overflow's
+        raise ValueError(f"{spec.family}: {exc}") from None
     t_star, h = minimize_g(spec, analysis, params)
     ganalysis = GAnalysis(
         theta_lower=theta_lo,

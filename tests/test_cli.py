@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from penlq import ReductionInvariantError, cli, gfun, serde
+from penlq import ReductionInvariantError, cli, conditions, gfun, serde
 
 
 def run(capsys, *argv):
@@ -378,16 +378,41 @@ def test_solution_file_has_no_seed_and_reads_the_older_format(capsys, tmp_path, 
     assert code == 0 and json.loads(out)["verdict"] == "yes"
 
 
-def test_gfun_analyze_at_huge_q_is_usage_error(capsys, mcp_file):
-    # at q = 300 the thresholds are finite but mu_lower * theta overflows;
-    # at q = 1500 the thresholds themselves are not finite; at q = 292 and
-    # lambda = 1000 the root of a coefficient overflows the dyadic grid
-    for q, lam, why in (("300", "1", "too large"), ("1500", "1", "too large"),
-                        ("292", "1000", "overflows the grid")):
-        code, out, err = run(capsys, "gfun", "analyze", "--spec", mcp_file, "--q", q,
-                             "--lambda", lam)
-        assert code == 1 and out == "" and f"q = {float(q)!r}" in err and why in err
-        assert "Traceback" not in err
+_BIG_MCP = {"gamma": 1e100, "b": 1.0}
+_UNIT_MCP = {"gamma": 1.0, "b": 1.0}
+_G_OVERFLOWS = "mcp: q = {}, lambda = {}: g overflows a float on [-2*tau, 3*tau]"
+_OVERFLOWING_G = {  # id -> (verb, mcp params, q, lambda, message)
+    # before the float rule for g: h = inf, then "not JSON compliant"
+    "analyze-q3-tiny-lambda": ("gfun", _BIG_MCP, "3", "1e-100",
+                               _G_OVERFLOWS.format(3.0, 1e-100)),
+    "build-q3-tiny-lambda": ("reduce", _BIG_MCP, "3", "1e-100", _G_OVERFLOWS.format(3.0, 1e-100)),
+    # before: g' overflowed to NaN, and t_star "must lie in (6e+99, 8e+99)"
+    "analyze-q2-tiny-lambda": ("gfun", _BIG_MCP, "2", "1e-250",
+                               _G_OVERFLOWS.format(2.0, 1e-250)),
+    # before: exit 0, with numpy overflow warnings on stderr
+    "build-q1-tiny-lambda": ("reduce", _BIG_MCP, "1", "1e-300", _G_OVERFLOWS.format(1.0, 1e-300)),
+    # finite thresholds whose product mu_lower * theta is not
+    "analyze-q300": ("gfun", _UNIT_MCP, "300", "1", _G_OVERFLOWS.format(300.0, 1.0)),
+    # the q-th root of lambda * mu overflows the dyadic grid
+    "analyze-q292-lambda1000": ("gfun", _UNIT_MCP, "292", "1000",
+                                _G_OVERFLOWS.format(292.0, 1000.0)),
+    # the shape thresholds themselves are not finite: refused on q alone
+    "analyze-q1500": ("gfun", _UNIT_MCP, "1500", "1",
+                      "q = 1500.0 too large: the shape thresholds are not finite"),
+}
+
+
+@pytest.mark.parametrize("verb, params, q, lam, message", _OVERFLOWING_G.values(),
+                         ids=_OVERFLOWING_G)
+def test_overflowing_g_is_usage_error(capsys, tmp_path, tp_file, verb, params, q, lam, message):
+    # one message on stderr and nothing else: numpy warnings are errors here
+    out_file = tmp_path / "inst.json"
+    argv = {"gfun": ["gfun", "analyze"],
+            "reduce": ["reduce", "build", "--in", tp_file, "--out", str(out_file)]}[verb]
+    code, out, err = run(capsys, *argv, "--spec", _spec_file(tmp_path, "mcp", **params),
+                         "--q", q, "--lambda", lam)
+    assert (code, out, err) == (1, "", f"penlq: error: {message}\n")
+    assert not out_file.exists()
 
 
 def test_gfun_analyze_at_huge_lambda_terminates(capsys, mcp_file):
@@ -712,6 +737,42 @@ def test_penalty_check_accepts_a_wide_scad(capsys, tmp_path):
     spec = _spec_file(tmp_path, "scad", gamma=100.0, a=3.0)
     code, out, _ = run(capsys, "penalty", "check", "--spec", spec)
     assert code == 0 and json.loads(out)["concave_on_0_tau"] is True
+
+
+_SMOOTH_SPECS = {
+    "l0": {}, "bridge": {"p": 0.5}, "hard_threshold": {"gamma": 1.0},
+    "scad": {"gamma": 1.0, "a": 3.0}, "mcp": {"gamma": 1.0, "b": 1.0},
+    "mcp-b2": {"gamma": 1.0, "b": 2.0}, "piecewise_linear": {"k1": 2.0, "k2": 0.5, "a": 1.0},
+    "fraction": {"gamma": 1.0}, "log": {"gamma": 1.0},
+}
+_GRIDS = ("1000", "10000", "100000", "300000", "1000000")
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("name", sorted(_SMOOTH_SPECS))
+def test_penalty_check_keeps_smooth_bands_smooth_at_fine_grids(capsys, tmp_path, name, grid):
+    # at 10**6 points the second differences of p carry rounding noise of
+    # about eps * max|p| / step**2, above the 1e-3 truncation allowance
+    spec = _spec_file(tmp_path, name.split("-")[0], **_SMOOTH_SPECS[name])
+    code, out, err = run(capsys, "penalty", "check", "--spec", spec, "--grid", grid)
+    assert (code, err) == (0, "") and json.loads(out)["smooth_near_tau"] is True
+
+
+_KINKED_BANDS = {  # family -> (params, a band (tau, tau0, tau_hat) across p's kink at 1)
+    "mcp": ({"gamma": 1.0, "b": 1.0}, (1.2, 0.9, 1.05)),  # p'' jumps from -1 to 0
+    "scad": ({"gamma": 1.0, "a": 3.0}, (1.3, 0.7, 1.0)),  # from 0 to -1/2
+}
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("family", sorted(_KINKED_BANDS))
+def test_penalty_check_fails_a_band_across_a_kink_at_every_grid(capsys, tmp_path, monkeypatch,
+                                                                family, grid):
+    params, kinked_band = _KINKED_BANDS[family]
+    monkeypatch.setattr(conditions, "band", lambda spec: kinked_band)
+    spec = _spec_file(tmp_path, family, **params)
+    code, out, _ = run(capsys, "penalty", "check", "--spec", spec, "--grid", grid)
+    assert code == 2 and json.loads(out)["smooth_near_tau"] is False
 
 
 def test_penalty_fuzz_finds_no_rounding_violations_on_a_wide_scad(capsys, tmp_path):

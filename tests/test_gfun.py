@@ -134,24 +134,26 @@ def test_full_analysis_roots_beyond_integer_resolution(mcp_spec, q, lam):
         assert params.theta >= ga.theta_lower and params.mu >= ga.mu_lower * params.theta
 
 
-def test_full_analysis_rejects_a_root_beyond_float_range():
-    # the thresholds and their product are finite, but lam * coefficient or
-    # its q-th root on the dyadic grid is not
-    for name, q, lam in (("mcp", 1.0, 1e308), ("mcp", 292.0, 1e3),
-                         ("hard_threshold", 245.0, 1e3), ("log", 321.0, 1e3)):
-        with pytest.raises(ValueError, match="overflows the grid") as info:
-            full_analysis(all_admissible_specs()[name], q=q, lam=lam)
-        assert str(info.value).startswith(f"q = {q!r}, lambda = {lam!r}: ")
-
-
-@pytest.mark.parametrize("q, name", [(1.0, "mu"), (2.0, "theta")])
-def test_rationalize_blames_a_tiny_lambda(mcp_spec, q, name):
-    # the root is one grid step, and step**q / 5e-324 overflows: the message
-    # names lambda, not q being too large or mu not being finite
+@pytest.mark.parametrize(
+    "name, q, lam",
+    [
+        # lambda * mu or its q-th root on the dyadic grid is not finite
+        ("mcp", 1.0, 1e308), ("mcp", 292.0, 1e3), ("hard_threshold", 245.0, 1e3),
+        ("log", 321.0, 1e3),
+        # one grid step, but step**q / lambda overflows at a tiny lambda
+        ("mcp", 1.0, 5e-324), ("mcp", 2.0, 5e-324),
+        # finite thresholds whose product mu_lower * theta is not
+        ("l0", 300.0, 1.0), ("mcp", 300.0, 1.0), ("hard_threshold", 250.0, 1.0),
+        ("bridge", 340.0, 1.0), ("fraction", 340.0, 1.0), ("log", 340.0, 1.0),
+    ],
+)
+def test_full_analysis_refuses_a_g_beyond_float_range(name, q, lam):
+    # one message whatever step overflows first, naming the family, q and lambda
+    spec = all_admissible_specs()[name]
     with pytest.raises(ValueError) as info:
-        full_analysis(mcp_spec, q=q, lam=5e-324)
+        full_analysis(spec, q=q, lam=lam)
     assert str(info.value) == (
-        f"q = {q!r}, lambda = 5e-324: {name} = root**q / lambda overflows a float")
+        f"{spec.family}: q = {q!r}, lambda = {lam!r}: g overflows a float on [-2*tau, 3*tau]")
 
 
 @pytest.mark.parametrize("q", [500.0, 1500.0, 5000.0])
@@ -167,21 +169,6 @@ def test_lower_bounds_reject_q_whose_thresholds_are_not_finite(name, q):
 
 
 @pytest.mark.parametrize(
-    "name, q",
-    [("l0", 300.0), ("mcp", 300.0), ("hard_threshold", 250.0), ("bridge", 340.0),
-     ("fraction", 340.0), ("log", 340.0)],
-)
-def test_full_analysis_names_q_when_mu_lower_times_theta_overflows(name, q):
-    # both thresholds are finite, but their product in rationalize is not
-    spec = all_admissible_specs()[name]
-    theta_lo, mu_lo = lower_bounds(spec, penlq.analyze(spec), q)
-    assert math.isfinite(theta_lo) and math.isfinite(mu_lo)
-    with pytest.raises(ValueError, match=f"q = {q!r} too large") as info:
-        full_analysis(spec, q=q, lam=1.0)
-    assert "of inf" not in str(info.value)
-
-
-@pytest.mark.parametrize(
     "coef, lam, q",
     # all but the last put root * 2**20 beyond 2**53, where a grid step is below r's ulp
     [(194.5, 1e60, 2.0), (14.55, 1e20, 1.0), (14.55, 1e12, 1.0), (1.0, 1e30, 3.0),
@@ -189,7 +176,8 @@ def test_full_analysis_names_q_when_mu_lower_times_theta_overflows(name, q):
 )
 def test_dyadic_root_ceil_is_the_smallest_grid_point(coef, lam, q):
     step = 2.0**-_GRID_EXP
-    r = _dyadic_root_ceil(coef, lam, q)
+    r, value = _dyadic_root_ceil(coef, lam, q)
+    assert value == r**q / lam
     assert r / step == math.floor(r / step)
     assert r**q / lam >= coef
     assert min(r - step, math.nextafter(r, 0.0)) ** q / lam < coef
@@ -442,3 +430,46 @@ def test_full_analysis_never_caches_failures():
         with pytest.raises(ConditionViolationError):
             full_analysis(penlq.linear(1.0), 2.0, 1.0)
     assert _full_analysis.cache_info().misses == misses + 3
+
+
+def _scaled_specs():
+    """Each family at scales 1e-100, 1 and 1e100, less the two refused as linear."""
+    makers = {"hard_threshold": penlq.hard_threshold, "scad": lambda s: penlq.scad(s, 3.0),
+              "mcp": lambda s: penlq.mcp(s, 1.0),
+              "piecewise_linear": lambda s: penlq.piecewise_linear(2.0, 0.5, s),
+              "fraction": penlq.fraction, "log": penlq.log_penalty}
+    specs = [penlq.l0(), penlq.bridge(0.5)]
+    specs += [make(s) for make in makers.values() for s in (1e-100, 1.0, 1e100)]
+    linear = {("fraction", 1e100), ("log", 1e-100)}
+    return [s for s in specs if (s.family, s.params.get("gamma")) not in linear]
+
+
+def test_full_analysis_admits_only_a_finite_g():
+    # Every (penalty, q, lambda) is admitted with finite constants and a g
+    # finite on [-2*tau, 3*tau], or refused by the one float rule (or, for q
+    # alone, by lower_bounds).  Over, invalid and divide raise; underflow does
+    # not, since a tiny term rounding to a subnormal or 0 is right.
+    refusal = "{}: q = {!r}, lambda = {!r}: g overflows a float on [-2*tau, 3*tau]"
+    admitted = 0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for spec in _scaled_specs():
+            analysis = penlq.analyze(spec)
+            domain = np.linspace(-2.0 * analysis.tau, 3.0 * analysis.tau, 101)
+            for q in (1.0, 1.5, 2.0, 3.0, 10.0, 30.0, 100.0, 219.0, 300.0):
+                for lam in (10.0**k for k in range(-300, 301, 50)):
+                    try:
+                        _, params, ga = full_analysis(spec, q, lam)
+                    except ValueError as exc:
+                        if "too large" in str(exc):
+                            with pytest.raises(ValueError, match="too large"):
+                                lower_bounds(spec, analysis, q)
+                        else:
+                            assert str(exc) == refusal.format(spec.family, q, lam)
+                        continue
+                    admitted += 1
+                    assert np.all(np.isfinite(g_eval(spec, params, domain))), (spec, q, lam)
+                    assert all(map(math.isfinite, (ga.t_star, ga.h, ga.delta_bar)))
+                    if lam == 1.0:
+                        report = verify_g_shape(spec, analysis, params, n_samples=200)
+                        assert math.isfinite(report.escape_margin), (spec, q)
+    assert admitted >= 800
