@@ -52,7 +52,7 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
     the report records grid_n since the certificate is only as fine as the
     grid.  Deterministic: identical inputs produce identical reports.
     """
-    _require_count("grid_n", grid_n, 100, _MAX_SIZE)
+    grid_n = _require_count("grid_n", grid_n, 100, _MAX_SIZE)
     tau, tau0, _ = band(spec)
 
     # Monotone on [0, 2*tau], up to _SLACK of max|p| on the grid.
@@ -190,7 +190,6 @@ class FuzzReport:
 
 def _length_batches(trials: int):
     """(length, count) pairs that split ``trials`` over lengths 2..6."""
-    _require_count("trials", trials, 1, _MAX_SIZE)
     lengths = (2, 3, 4, 5, 6)
     counts = [trials // len(lengths)] * len(lengths)
     counts[0] += trials - sum(counts)
@@ -203,7 +202,8 @@ def fuzz_subadditivity(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -
     Raises ValueError unless trials is an integer in [1, 10**6] and seed one
     >= 0.
     """
-    _require_count("seed", seed, 0)
+    seed = _require_count("seed", seed, 0)
+    trials = _require_count("trials", trials, 1, _MAX_SIZE)
     tau, _, _ = band(spec)
     rng = np.random.default_rng(seed)
     violations = 0
@@ -229,7 +229,8 @@ def fuzz_concentration(spec: PenaltySpec, trials: int = 10_000, seed: int = 0) -
     and seed one >= 0.
     """
     analysis = analyze(spec)
-    _require_count("seed", seed, 0)
+    seed = _require_count("seed", seed, 0)
+    trials = _require_count("trials", trials, 1, _MAX_SIZE)
     tau0, tau = analysis.tau0, analysis.tau
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(_VERDICTS), dtype=int)

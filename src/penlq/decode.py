@@ -84,8 +84,8 @@ def decide(red: ReductionInstance, x) -> Partition | None:
     F(x) cannot turn a verified partition away.  An x that does not decode
     although F(x) < bound + epsilon breaks the reduction's guarantee and
     raises ReductionInvariantError when even F plus a bound on its rounding
-    error lies below it; otherwise the verdict is None.  A non-finite x
-    raises ValueError.
+    error lies below it; otherwise the verdict is None, also when F
+    overflows.  A non-finite x raises ValueError.
     """
     try:
         partition = to_partition(red, round_solution(red, x))
@@ -95,16 +95,17 @@ def decide(red: ReductionInstance, x) -> Partition | None:
         if all(total == red.tp.target_sum for total in partition.subset_sums):
             return partition
         failure = f"decoded to unequal subset sums {partition.subset_sums}"
-    value, bound = objective(red, x), optimal_bound(red)
-    if value < bound + red.epsilon:
-        # a-priori rounding error of F and the bound; s_r bounds residual r's partial sums
-        prob = red.problem
-        s = np.abs(prob.a_matrix) @ np.abs(np.ravel(x)) + np.abs(prob.target)
-        err = (8.0 * prob.q * (prob.rows + prob.cols) * np.finfo(float).eps
-               * (float(np.sum(s**prob.q)) + value + bound))
-        if value + err < bound + red.epsilon:
-            raise ReductionInvariantError(
-                f"near-optimal solution (F = {value:.17g} < bound + epsilon) {failure}; "
-                "the construction guarantees an equal-sum partition"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # an F that overflows is inf: None
+        value, bound = objective(red, x), optimal_bound(red)
+        if value < bound + red.epsilon:
+            # a-priori rounding error of F and the bound; s_r bounds residual r's partial sums
+            prob = red.problem
+            s = np.abs(prob.a_matrix) @ np.abs(np.ravel(x)) + np.abs(prob.target)
+            err = (8.0 * prob.q * (prob.rows + prob.cols) * np.finfo(float).eps
+                   * (float(np.sum(s**prob.q)) + value + bound))
+            if value + err < bound + red.epsilon:
+                raise ReductionInvariantError(
+                    f"near-optimal solution (F = {value:.17g} < bound + epsilon) {failure}; "
+                    "the construction guarantees an equal-sum partition"
+                )
     return None

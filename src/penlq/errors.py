@@ -5,7 +5,8 @@ class matters: see ``penlq.cli``.  :func:`_is_integer` and :func:`_is_real`
 are the one test for "is this a number?", asked by every entry point that
 takes one, :func:`_is_parameter` the one range of a penalty parameter, and
 each rule on a number is stated here once (the _require_* helpers); a no
-raises ValueError there, never a coercion.
+raises ValueError there, never a coercion.  A yes returns the Python float
+or int of the value, the one form every record keeps, whatever its type.
 """
 
 import functools
@@ -40,11 +41,12 @@ def _is_parameter(value) -> bool:
 _MAX_SIZE = 10**6  # most grid points or fuzz trials one call may ask for
 
 
-def _require_count(name: str, value, floor: int, ceiling: int | None = None) -> None:
+def _require_count(name: str, value, floor: int, ceiling: int | None = None) -> int:
     if not (_is_integer(value) and value >= floor):
         raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
     if ceiling is not None and value > ceiling:
         raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
+    return int(value)
 
 
 _REAL_RULES = {  # rule -> (what the value must be, the test it must pass)

@@ -56,10 +56,9 @@ class GParams:
     mu_root: float | None = None
 
     def __post_init__(self):
-        _require_q(self.q)
-        _require_real("mu", self.mu, "positive")
-        _require_real("theta", self.theta, "non-negative")
-        _require_real("tau_hat", self.tau_hat)
+        for name, rule in (("q", ">= 1"), ("mu", "positive"), ("theta", "non-negative"),
+                           ("tau_hat", "")):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name), rule))
         if self.q == 1.0 and self.theta != 0.0:
             raise ValueError("q = 1 requires theta = 0")
 
@@ -89,7 +88,7 @@ def lower_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, q: float) -> tupl
     unless both thresholds come out finite and positive (a power of tau0,
     tau or |tau0 - tau_hat| under- or overflows at large q).
     """
-    _require_q(q)
+    q = _require_q(q)
     tau, tau0, tau_hat = analysis.tau, analysis.tau0, analysis.tau_hat
     if q == 1.0:
         slope = p_d1(spec, tau0)
@@ -158,8 +157,7 @@ def rationalize(
     is finite and at least 1 (bools are rejected for both), and, naming q
     and lam, when theta or mu is not a finite float.
     """
-    _require_q(q)
-    _require_lam(lam)
+    q, lam = _require_q(q), _require_lam(lam)
     theta_root, theta = _dyadic_root_ceil(theta_lower, lam, q) if q > 1.0 else (0.0, 0.0)
     mu_target = mu_lower * theta if q > 1.0 else mu_lower
     mu_root, mu = _dyadic_root_ceil(mu_target, lam, q)
@@ -280,7 +278,7 @@ def verify_g_shape(
     Both: g(t) >= h + delta_bar**2 on samples of [-2*tau, tau0] and
     [tau, 3*tau].  Raises ValueError unless n_samples is an integer >= 2.
     """
-    _require_count("n_samples", n_samples, 2)
+    n_samples = _require_count("n_samples", n_samples, 2)
     tau0, tau = analysis.tau0, analysis.tau
     t_star, h = minimize_g(spec, analysis, params)
     radius = delta_bar(analysis, t_star)
@@ -289,7 +287,10 @@ def verify_g_shape(
     curvature_ok = min_curvature = None
     slope_ok = worst_left = worst_right = None
     if params.q > 1.0:
-        step = 1e-4 * (tau - tau0)
+        # 1e-4 of the band, or where the rounding noise of the samples, about
+        # 4*eps*max|g|/step**2, falls to 1e-3 if that is wider; at most a quarter band
+        noise = math.sqrt(4e3 * np.finfo(float).eps * max(g(tau0), g(tau)))
+        step = min(max(1e-4 * (tau - tau0), noise), 0.25 * (tau - tau0))
         ts = np.linspace(tau0 + step, tau - step, n_samples)
         fd2 = (g(ts + step) - 2.0 * g(ts) + g(ts - step)) / (step * step)
         min_curvature = float(np.min(fd2))
@@ -337,19 +338,16 @@ def full_analysis(
     Raises ValueError by the float rule of this module, or from lower_bounds.
     The result is memoized on (spec, q, lam) in a bounded least-recently-used
     cache shared by every caller.  q and lam are validated first, as
-    :func:`rationalize` would (ValueError), and only then looked up.  The key
-    keeps argument types, so 2 and 2.0 are separate entries, exactly as their
-    results differ in type; keyword and positional calls share one entry.
-    Failures, such as the ConditionViolationError of an inadmissible penalty,
-    are never cached.  The records returned are frozen, so sharing them
-    between callers is safe.
+    :func:`rationalize` would (ValueError), and looked up as the floats the
+    rule returns, so 2, 2.0 and np.float32(2.0) share one entry, as do
+    keyword and positional calls.  Failures, such as the
+    ConditionViolationError of an inadmissible penalty, are never cached.
+    The records returned are frozen, so sharing them between callers is safe.
     """
-    _require_q(q)
-    _require_lam(lam)
-    return _full_analysis(spec, q, lam)
+    return _full_analysis(spec, _require_q(q), _require_lam(lam))
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=256)
 def _full_analysis(
     spec: PenaltySpec, q: float, lam: float
 ) -> tuple[PenaltyAnalysis, GParams, GAnalysis]:

@@ -44,10 +44,9 @@ class ThreePartitionInstance:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        _require_count("m", self.m, 1)
+        object.__setattr__(self, "m", _require_count("m", self.m, 1))
         if not all(_is_integer(v) for v in self.b):
             raise ValueError("all items must be integers")
-        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "b", tuple(int(v) for v in self.b))
         if len(self.b) != 3 * self.m:
             raise ValueError(f"expected n = 3m = {3 * self.m} items, got {len(self.b)}")
@@ -87,8 +86,8 @@ class ProblemInstance:
             raise ValueError("A must be 2-d with one target entry per row")
         if not (np.isfinite(a).all() and np.isfinite(t).all()):
             raise ValueError("A and target must be finite")
-        _require_q(self.q)
-        _require_lam(self.lam)
+        object.__setattr__(self, "q", _require_q(self.q))
+        object.__setattr__(self, "lam", _require_lam(self.lam))
         a.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "a_matrix", a)
@@ -157,6 +156,7 @@ def build(
     """
     if sum(tp.b) > 2**53:
         raise ValueError(f"sum(b) = {sum(tp.b)} exceeds 2**53; A would not be exact")
+    q, lam = _require_q(q), _require_lam(lam)
     analysis, gparams, ganalysis = full_analysis(spec, q, lam)
     n, m = tp.n, tp.m
     if m > 1:

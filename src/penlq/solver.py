@@ -248,9 +248,9 @@ def local_descent(
         raise ValueError(f"x0 must have {problem.cols} entries, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    _require_real("step", step, "positive")
-    _require_count("max_iters", max_iters, 0)
-    _require_real("tol", tol, "non-negative")
+    step = _require_real("step", step, "positive")
+    max_iters = _require_count("max_iters", max_iters, 0)
+    tol = _require_real("tol", tol, "non-negative")
 
     a = problem.a_matrix
     columns = []
@@ -317,8 +317,8 @@ def solve(
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_count("restarts", restarts, 0)
-    _require_count("seed", seed, 0)
+    restarts = _require_count("restarts", restarts, 0)
+    seed = _require_count("seed", seed, 0)
     base = minimize_structured(red)
     if mode == "structured" or restarts == 0 or decide(red, base.x) is not None:
         return base

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,13 @@ def test_decide_yes_on_certificate(demo_instance, demo_certificate):
 
 def test_decide_unknown_above_threshold(demo_instance):
     assert decide(demo_instance, np.zeros((6, 2))) is None
+
+
+def test_decide_calls_an_overflowing_objective_unknown(demo_instance):
+    # F(x) overflows for a finite x; the verdict is decide's, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decide(demo_instance, np.full((6, 2), 1e200)) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

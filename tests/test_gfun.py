@@ -346,20 +346,27 @@ def test_full_analysis_pipeline_consistency(mcp_spec):
     assert ga.delta_bar == delta_bar(an, ga.t_star)
 
 
-@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+_SHAPE_CASES = [
+    (spec, q)
+    for spec in (penlq.bridge(0.1), penlq.bridge(0.9), penlq.hard_threshold(0.1),
+                 penlq.scad(2.0, 5.0), penlq.mcp(2.0, 3.0), penlq.piecewise_linear(1.0, 0.3, 1.0),
+                 penlq.fraction(5.0), penlq.log_penalty(10.0))
+    for q in (1.0, 1.5, 2.0, 3.0)
+] + [
+    # narrow bands at large q, where a step of 1e-4 of the band puts the
+    # samples' rounding noise far above the curvature
+    (penlq.piecewise_linear(2.0, 0.5, 1e-10), 10.0),
+    (penlq.piecewise_linear(2.0, 0.5, 1e-10), 12.0),
+    (penlq.piecewise_linear(2.0, 0.5, 1e-10), 20.0),
+    (penlq.scad(1e-30, 3.0), 10.0),
+]
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        penlq.bridge(0.1),
-        penlq.bridge(0.9),
-        penlq.hard_threshold(0.1),
-        penlq.scad(2.0, 5.0),
-        penlq.mcp(2.0, 3.0),
-        penlq.piecewise_linear(1.0, 0.3, 1.0),
-        penlq.fraction(5.0),
-        penlq.log_penalty(10.0),
-    ],
-    ids=lambda s: f"{s.family}-{'-'.join(f'{v:g}' for v in s.params.values())}",
+    "spec, q",
+    _SHAPE_CASES,
+    ids=[f"{s.family}-{'-'.join(f'{v:g}' for v in s.params.values())}-{q}"
+         for s, q in _SHAPE_CASES],
 )
 def test_shape_certificate_across_parametrizations(spec, q):
     an, params, _ = full_analysis(spec, q=q, lam=1.0)
@@ -407,13 +414,16 @@ def test_full_analysis_validates_before_lookup(mcp_spec, kwargs):
         full_analysis(mcp_spec, **{"q": 2.0, "lam": 1.0, **kwargs})
 
 
-def test_full_analysis_keys_on_spec_value_and_argument_types():
+def test_full_analysis_keys_on_spec_and_number_values():
+    _full_analysis.cache_clear()
     first = full_analysis(penlq.mcp(1.0, 1.0), 2.0, 1.0)
     assert full_analysis(penlq.mcp(1.0, 2.0), 2.0, 1.0) != first
     assert full_analysis(penlq.PenaltySpec("mcp", {"b": 1, "gamma": 1}), 2.0, 1.0) is first
-    as_int = full_analysis(penlq.mcp(1.0, 1.0), 2, 1)
-    assert type(as_int[1].q) is int
-    assert repr(as_int) == repr(_full_analysis.__wrapped__(penlq.mcp(1.0, 1.0), 2, 1))
+    # a number is looked up as the float the rule returns, whatever its type
+    for q in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        assert full_analysis(penlq.mcp(1.0, 1.0), q, np.int64(1)) is first
+    assert _full_analysis.cache_info().currsize == 2
+    assert type(first[1].q) is float
 
 
 def test_signed_zero_specs_share_one_entry():
