@@ -17,7 +17,14 @@ from .conditions import (
     fuzz_subadditivity,
     subadditive_bound_holds,
 )
-from .decode import Partition, decide, round_solution, to_partition, verify_equitable
+from .decode import (
+    Partition,
+    decide,
+    encode_certificate,
+    round_solution,
+    to_partition,
+    verify_equitable,
+)
 from .errors import (
     ConditionViolationError,
     NondifferentiableError,
@@ -63,7 +70,6 @@ from .reduction import (
     ReductionInstance,
     ThreePartitionInstance,
     build,
-    encode_certificate,
     objective,
     optimal_bound,
 )

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or malformed input, 2 penalty condition
 violation, 3 unknown verdict (solution not provably decodable / certificate
-not optimal), 4 reduction-invariant violation, 5 desk-scale size guard.
+not optimal), 4 reduction-invariant violation, 5 size guard or MemoryError.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ import os
 import sys
 
 from . import conditions, decode, gfun, serde, solver
-from .errors import (
-    ConditionViolationError,
-    PenlqError,
-    ReductionInvariantError,
-    SizeGuardError,
-)
+from .errors import ConditionViolationError, PenlqError, ReductionInvariantError, SizeGuardError
 from .penalties import mcp, spec_to_dict
-from .reduction import ThreePartitionInstance, build, encode_certificate, objective, optimal_bound
+from .reduction import ThreePartitionInstance, build, objective, optimal_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,13 +41,8 @@ def _emit_verdict(partition) -> int:
     if partition is None:
         _emit({"verdict": "unknown", "partition": None, "sums": None})
         return EXIT_UNKNOWN
-    _emit(
-        {
-            "verdict": "yes",
-            "partition": [list(s) for s in partition.subsets],
-            "sums": list(partition.subset_sums),
-        }
-    )
+    _emit({"verdict": "yes", "partition": [list(s) for s in partition.subsets],
+           "sums": list(partition.subset_sums)})
     return EXIT_OK
 
 
@@ -131,16 +121,11 @@ def cmd_reduce_build(args) -> int:
     return EXIT_OK
 
 
-def _load_partition_arg(raw: str):
-    if os.path.isfile(raw):  # False, not an error, for a name too long to be a path
-        return serde.read_json(raw)
-    return json.loads(raw)
-
-
 def cmd_certify(args) -> int:
     red = serde.load_instance(args.infile)
-    subsets = _load_partition_arg(args.partition)
-    cert = encode_certificate(red, subsets)
+    raw = args.partition  # isfile: False, not an error, for a name too long to be a path
+    subsets = serde.read_json(raw) if os.path.isfile(raw) else json.loads(raw)
+    cert = decode.encode_certificate(red, subsets)
     optimal = decode.verify_equitable(red.tp, subsets)
     value = objective(red, cert)
     bound = optimal_bound(red)
@@ -204,7 +189,7 @@ def cmd_demo(args) -> int:
     line("epsilon", red.epsilon, "min(lambda*delta^2, (tau0/2)^q)")
     line("bound", optimal_bound(red), "n*lambda*h")
 
-    cert_value = objective(red, encode_certificate(red, [[1, 2, 3], [4, 5, 6]]))
+    cert_value = objective(red, decode.encode_certificate(red, [[1, 2, 3], [4, 5, 6]]))
     print(f"certificate objective = {cert_value:.17g} "
           f"(gap {cert_value - optimal_bound(red):.3g})")
     result = solver.solve(red)
@@ -280,7 +265,7 @@ def main(argv=None) -> int:
     except ConditionViolationError as exc:
         print(f"penlq: condition violation: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except SizeGuardError as exc:
+    except (SizeGuardError, MemoryError) as exc:  # MemoryError: numpy could not allocate A
         print(f"penlq: size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except ReductionInvariantError as exc:

@@ -57,8 +57,10 @@ class GParams:
 
     def __post_init__(self):
         for name, rule in (("q", ">= 1"), ("mu", "positive"), ("theta", "non-negative"),
-                           ("tau_hat", "")):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name), rule))
+                           ("tau_hat", ""), ("theta_root", "non-negative"),
+                           ("mu_root", "positive")):
+            if (value := getattr(self, name)) is not None or not name.endswith("_root"):
+                object.__setattr__(self, name, _require_real(name, value, rule))
         if self.q == 1.0 and self.theta != 0.0:
             raise ValueError("q = 1 requires theta = 0")
 

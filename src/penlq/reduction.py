@@ -213,48 +213,3 @@ def optimal_bound(red: ReductionInstance) -> float:
     equal-sum partition exists."""
     return red.n * red.problem.lam * red.ganalysis.h
 
-
-def _checked_subsets(partition, n: int):
-    """The subsets of ``partition``, checked to cover items 1..n exactly once.
-
-    ``partition`` is a :class:`penlq.decode.Partition` or a list of lists
-    of 1-based integer item indices; any other shape raises ValueError.
-    """
-    subsets = getattr(partition, "subsets", partition)
-    if not isinstance(subsets, (list, tuple)) or not all(
-        isinstance(subset, (list, tuple)) for subset in subsets
-    ):
-        raise ValueError("partition must be a list of subsets, each a list of item indices")
-    seen: set[int] = set()
-    for subset in subsets:
-        for item in subset:
-            if not _is_integer(item):
-                raise ValueError(f"partition item indices must be integers, got {item!r}")
-            if not 1 <= item <= n or item in seen:
-                raise ValueError(f"partition must cover items 1..{n} exactly once")
-            seen.add(item)
-    if len(seen) != n:
-        raise ValueError(f"partition must cover items 1..{n} exactly once")
-    return subsets
-
-
-def encode_certificate(red: ReductionInstance, partition) -> np.ndarray:
-    """Certificate matrix: x_ij = t_star where item i sits in subset j, else 0.
-
-    ``partition`` is either a :class:`penlq.decode.Partition` or a list of m
-    lists of 1-based integer item indices.  For an equal-sum partition the
-    certificate attains the optimal bound to within accumulation noise.
-    """
-    subsets = _checked_subsets(partition, red.n)
-    if len(subsets) != red.m:
-        raise ValueError(f"partition must have {red.m} subsets, got {len(subsets)}")
-    owner = {item: j for j, subset in enumerate(subsets) for item in subset}
-    return _certificate(red, [owner[i] for i in range(1, red.n + 1)])
-
-
-def _certificate(red: ReductionInstance, assignment) -> np.ndarray:
-    """The (n, m) matrix with x_ij = t_star where assignment[i] = j, else 0."""
-    x = np.zeros((red.n, red.m))
-    for i, j in enumerate(assignment):
-        x[i, j] = red.t_star
-    return x

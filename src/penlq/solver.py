@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import decide
+from .decode import _certificate, decide
 from .errors import SizeGuardError, _require_count, _require_real
 from .penalties import _float_eval, kink_points
 from .reduction import (
-    ProblemInstance, ReductionInstance, _certificate, as_solution_matrix, objective, optimal_bound,
+    ProblemInstance, ReductionInstance, as_solution_matrix, objective, optimal_bound,
 )
 
 _MAX_ASSIGNMENTS = 10**7
@@ -67,8 +67,10 @@ def _half_weights(k: int, m: int) -> np.ndarray:
 def require_desk_scale(m: int, n: int) -> None:
     """Raise SizeGuardError when the m**n certificate-shaped assignments of
     n items to m subsets exceed the cap of 10**7.  It reads m and n alone,
-    so a caller can ask it before building the instance."""
-    if m**n > _MAX_ASSIGNMENTS:
+    so a caller can ask it before building the instance, and forms m**n only
+    below the cap's bit length in n, from which on 2**n alone exceeds it."""
+    m, n = _require_count("m", m, 1), _require_count("n", n, 1)
+    if m > 1 and (n >= _MAX_ASSIGNMENTS.bit_length() or m**n > _MAX_ASSIGNMENTS):
         raise SizeGuardError(
             f"m**n = {m}**{n} assignments exceed the desk-scale cap of {_MAX_ASSIGNMENTS}"
         )

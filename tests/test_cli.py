@@ -219,6 +219,28 @@ def test_size_guard_exit_code(capsys, tmp_path, monkeypatch, mcp_file):
         assert not sol.exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 156. GiB for an array with shape (6999, 3000000)")
+
+
+def test_memory_error_is_a_size_guard_exit(capsys, tmp_path, monkeypatch, mcp_file):
+    # at m = 1000 numpy cannot allocate the dense A; fake it rather than ask for 156 GiB
+    inst, tp = _build_instance(capsys, tmp_path, mcp_file, [1] * 6), tmp_path / "tp.json"
+    sol, out_file = tmp_path / "s.json", tmp_path / "out.json"
+    sol.write_text(json.dumps({"x": [0.0] * 12}))
+    monkeypatch.setattr("penlq.cli.build", _out_of_memory)
+    monkeypatch.setattr("penlq.serde.build", _out_of_memory)
+    for argv in (("reduce", "build", "--in", str(tp), "--spec", mcp_file, "--q", "2",
+                  "--lambda", "1", "--out", str(out_file)),
+                 ("certify", "--in", str(inst), "--partition", "[[1, 2, 3], [4, 5, 6]]"),
+                 ("decode", "--in", str(inst), "--sol", str(sol))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, ""), argv
+        assert err.startswith("penlq: size guard: Unable to allocate 156. GiB")
+        assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_planted_m100_round_trip(capsys, tmp_path, mcp_file):
     inst = _build_instance(capsys, tmp_path, mcp_file, _planted_items(100))
     assert inst.stat().st_size < 16384  # the file holds the recipe, not A

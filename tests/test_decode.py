@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import penlq.reduction
 from penlq import (
     Partition,
     ReductionInvariantError,
@@ -175,6 +176,38 @@ def test_to_partition_m1(mcp_spec):
     assert partition.subsets == ((1, 2, 3),)
     assert partition.subset_sums == (6,)
     assert verify_equitable(red.tp, partition)
+
+
+@pytest.mark.parametrize("columns", [
+    (0, 0, 0, -1, -1, -1),  # a negative index would wrap to the last subset
+    (0, 0, 0, 1, 1),  # item 6 has no column
+    (0, 0, 0, 1, 1, 1, 1),
+    (0.0, 0, 0, 1, 1, 1),
+    (0, 0, 0, 1, 1, 2),
+    (True, 0, 0, 1, 1, 1),
+    np.array([0, 0, 0, 1, 1, 1]),
+    "000111",
+])
+def test_to_partition_refuses_bad_columns(demo_instance, columns):
+    with pytest.raises(ValueError, match=r"columns must be 6 integers in 0\.\.1"):
+        to_partition(demo_instance, columns)
+
+
+def test_partitions_have_one_home(demo_instance, mcp_spec):
+    assert penlq.encode_certificate is penlq.decode.encode_certificate
+    for name in ("Partition", "_checked_subsets", "_certificate", "encode_certificate"):
+        assert not hasattr(penlq.reduction, name)
+    # partition -> certificate -> columns -> partition is the identity
+    red = build(ThreePartitionInstance(m=3, b=(4, 5, 6, 5, 5, 5, 6, 4, 5)), mcp_spec, q=2.0,
+                lam=1.0)
+    for columns in itertools.islice(itertools.product(range(3), repeat=9), 0, None, 37):
+        partition = to_partition(red, columns)
+        assert round_solution(red, encode_certificate(red, partition)) == columns
+        assert verify_equitable(red.tp, partition) == (set(partition.subset_sums) == {15})
+    # numpy integers are columns too; the record holds Python ints
+    partition = to_partition(demo_instance, [np.int64(1), np.uint8(1), np.int8(1), 0, 0, 0])
+    assert partition == Partition(((4, 5, 6), (1, 2, 3)), (6, 6))
+    assert all(type(v) is int for v in (*partition.subset_sums, *sum(partition.subsets, ())))
 
 
 def test_verify_equitable(demo_instance):

@@ -267,9 +267,14 @@ def test_gparams_validation():
     with pytest.raises(ValueError):
         GParams(q=0.5, theta=1.0, mu=10.0, tau_hat=0.7)
     nan = float("nan")
-    for coefficients in ({"mu": nan}, {"theta": nan}, {"tau_hat": nan}):
+    for coefficients in ({"mu": nan}, {"theta": nan}, {"tau_hat": nan}, {"theta_root": "x"},
+                         {"theta_root": -1.0}, {"theta_root": nan}, {"mu_root": nan},
+                         {"mu_root": 0.0}, {"mu_root": True}):
         with pytest.raises(ValueError):
             GParams(**{"q": 2.0, "theta": 1.0, "mu": 10.0, "tau_hat": 0.7, **coefficients})
+    roots = GParams(q=2.0, theta=1.0, mu=196.0, tau_hat=0.7, theta_root=np.float32(1.0),
+                    mu_root=14)
+    assert type(roots.theta_root) is float and type(roots.mu_root) is float
 
 
 def test_delta_bar_mcp(mcp_analysis):

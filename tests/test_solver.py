@@ -20,7 +20,9 @@ from penlq import (
 from penlq import solver
 from penlq.penalties import _float_eval, kink_points, p_eval
 from penlq.reduction import ProblemInstance
-from penlq.solver import _half_weights, _piecewise_min, _restriction, local_descent
+from penlq.solver import (
+    _half_weights, _piecewise_min, _restriction, local_descent, require_desk_scale,
+)
 
 from conftest import all_admissible_specs
 from oracles import (
@@ -65,6 +67,18 @@ def test_size_guard(mcp_spec):
     red = build(tp, mcp_spec, q=2.0, lam=1.0)
     with pytest.raises(SizeGuardError, match=r"4\*\*12"):
         minimize_structured(red)
+
+
+def test_size_guard_reads_counts_by_the_count_rule():
+    # 4**40 wraps to 0 in int64; 100000**300000 has 1.5 million digits
+    for m, n in ((np.int64(4), np.int64(40)), (4, 40), (2, 24), (100000, 300000)):
+        with pytest.raises(SizeGuardError, match=rf"m\*\*n = {m}\*\*{n} assignments"):
+            require_desk_scale(m, n)
+    for m, n in ((np.int64(3), np.int64(9)), (2, 23), (1, 10**9)):
+        require_desk_scale(m, n)
+    for m, n in ((2.0, 6), (2, True), (0, 6), (2, 0)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            require_desk_scale(m, n)
 
 
 def test_size_guard_message_names_m_and_n_not_their_power(mcp_spec):
