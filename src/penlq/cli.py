@@ -126,7 +126,7 @@ def cmd_certify(args) -> int:
     raw = args.partition  # isfile: False, not an error, for a name too long to be a path
     subsets = serde.read_json(raw) if os.path.isfile(raw) else json.loads(raw)
     cert = decode.encode_certificate(red, subsets)
-    optimal = decode.verify_equitable(red.tp, subsets)
+    optimal = decode.decide(red, cert) is not None  # cert rounds back to subsets
     value = objective(red, cert)
     bound = optimal_bound(red)
     _emit({"objective": value, "bound": bound, "gap": value - bound, "optimal": optimal})

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _require_count, _require_lam, _require_q, _require_real
-from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_eval
+from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_d2, p_eval
 
 _GRID_EXP = 20  # coefficient roots are multiples of 2**-_GRID_EXP
 
@@ -183,6 +183,15 @@ def g_eval(spec: PenaltySpec, params: GParams, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _g_d1(spec: PenaltySpec, params: GParams, t):
+    """g'(t) = p'(t) + q*(theta*t**(q-1) + mu*sgn(t - tau_hat)*|t - tau_hat|**(q-1))
+    for numpy float64 t > 0 (a scalar or an array) off p's kinks."""
+    q, d = params.q, t - params.tau_hat
+    return p_d1(spec, t) + q * (
+        params.theta * t ** (q - 1.0) + params.mu * np.sign(d) * np.abs(d) ** (q - 1.0)
+    )
+
+
 def _require_bounds(spec: PenaltySpec, analysis: PenaltyAnalysis, params: GParams) -> None:
     theta_lo, mu_lo = lower_bounds(spec, analysis, params.q)
     if params.q == 1.0:
@@ -205,24 +214,18 @@ def minimize_g(
     """Return (t_star, h), the unique global minimizer of g and its value.
 
     The global minimum lies inside [tau0, tau], where g' changes sign once,
-    so one bisection on the sign of
-    g'(t) = p'(t) + q*theta*t**(q-1) + sgn(t - tau_hat)*q*mu*|t - tau_hat|**(q-1)
-    runs for every q until the midpoint equals an endpoint; t_star is
-    whichever of the two adjacent floats has the lower g, the lower one on a
-    tie.  For q > 1, g is strictly convex there.  For q = 1 (theta = 0),
-    g' < 0 below tau_hat and g' >= 0 from it on, so the search ends on
-    t_star = tau_hat exactly, with h = p(tau_hat).  p' is :func:`p_d1`, whose
-    kink check never fires on a band.  Raises ValueError below the thresholds.
+    so one bisection on the sign of g' (:func:`_g_d1`) runs for every q
+    until the midpoint equals an endpoint; t_star is whichever of the two
+    adjacent floats has the lower g, the lower one on a tie.  For q > 1, g
+    is strictly convex there.  For q = 1 (theta = 0), g' < 0 below tau_hat
+    and g' >= 0 from it on, so the search ends on t_star = tau_hat exactly,
+    with h = p(tau_hat).  p' is :func:`p_d1`, whose kink check never fires
+    on a band.  Raises ValueError below the thresholds.
     """
     _require_bounds(spec, analysis, params)
-    q, theta, mu, tau_hat = params.q, params.theta, params.mu, params.tau_hat
     lo, hi = analysis.tau0, analysis.tau
     while lo < (t := 0.5 * (lo + hi)) < hi:
-        d = np.float64(t - tau_hat)  # numpy powers give inf where g_eval's do
-        slope = p_d1(spec, t) + q * (
-            theta * np.float64(t) ** (q - 1.0) + mu * np.sign(d) * np.abs(d) ** (q - 1.0)
-        )
-        if slope < 0.0:
+        if _g_d1(spec, params, np.float64(t)) < 0.0:  # numpy powers give inf where g_eval's do
             lo = t
         else:
             hi = t
@@ -256,7 +259,7 @@ class GShapeReport:
 
     q: float
     n_samples: int
-    curvature_ok: bool | None  # q > 1: fd second derivative >= 1 - 1e-6 on the band
+    curvature_ok: bool | None  # q > 1: g'' >= 1 - 1e-6 on the band
     min_curvature: float | None
     slope_ok: bool | None  # q = 1: g' < -1 left of tau_hat, > 1 right of it
     worst_left_slope: float | None
@@ -274,38 +277,34 @@ def verify_g_shape(
 ) -> GShapeReport:
     """Sample the curvature/slope bounds on [tau0, tau] and the escape bound.
 
-    q > 1: finite-difference second derivative >= 1 - 1e-6 at n_samples
-    interior points.
-    q = 1: slopes below -1 left of tau_hat and above +1 right of it.
+    The bounds are read from g's derivatives in closed form at the midpoints
+    of equal cells, never at a band end or a kink of p.
+    q > 1: g'' >= 1 - 1e-6 at the midpoints of n_samples cells of
+    [tau0, tau]; g'' is +inf at tau_hat when q < 2.
+    q = 1: g' < -1 + 1e-6 at the midpoints of n_samples // 2 cells of
+    [tau0, tau_hat], and g' > 1 - 1e-6 at those of [tau_hat, tau].
     Both: g(t) >= h + delta_bar**2 on samples of [-2*tau, tau0] and
     [tau, 3*tau].  Raises ValueError unless n_samples is an integer >= 2.
     """
     n_samples = _require_count("n_samples", n_samples, 2)
-    tau0, tau = analysis.tau0, analysis.tau
+    q, tau0, tau, tau_hat = params.q, analysis.tau0, analysis.tau, params.tau_hat
     t_star, h = minimize_g(spec, analysis, params)
     radius = delta_bar(analysis, t_star)
-    g = lambda t: g_eval(spec, params, t)
+    midpoints = lambda lo, hi, n: lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
     curvature_ok = min_curvature = None
     slope_ok = worst_left = worst_right = None
-    if params.q > 1.0:
-        # 1e-4 of the band, or where the rounding noise of the samples, about
-        # 4*eps*max|g|/step**2, falls to 1e-3 if that is wider; at most a quarter band
-        noise = math.sqrt(4e3 * np.finfo(float).eps * max(g(tau0), g(tau)))
-        step = min(max(1e-4 * (tau - tau0), noise), 0.25 * (tau - tau0))
-        ts = np.linspace(tau0 + step, tau - step, n_samples)
-        fd2 = (g(ts + step) - 2.0 * g(ts) + g(ts - step)) / (step * step)
-        min_curvature = float(np.min(fd2))
+    if q > 1.0:
+        ts = midpoints(tau0, tau, n_samples)
+        with np.errstate(divide="ignore"):  # 0**(q-2) at tau_hat: g'' = +inf for q < 2
+            g_d2 = p_d2(spec, ts) + q * (q - 1.0) * (
+                params.theta * ts ** (q - 2.0) + params.mu * np.abs(ts - tau_hat) ** (q - 2.0)
+            )
+        min_curvature = float(np.min(g_d2))
         curvature_ok = bool(min_curvature >= 1.0 - 1e-6)
     else:
-        step = 1e-7 * (tau - tau0)
-        margin = 1e-5 * (tau - tau0)
-        left = np.linspace(tau0 + step, params.tau_hat - margin, n_samples // 2)
-        right = np.linspace(params.tau_hat + margin, tau - step, n_samples // 2)
-        left_slopes = (g(left + step) - g(left - step)) / (2.0 * step)
-        right_slopes = (g(right + step) - g(right - step)) / (2.0 * step)
-        worst_left = float(np.max(left_slopes))
-        worst_right = float(np.min(right_slopes))
+        worst_left = float(np.max(_g_d1(spec, params, midpoints(tau0, tau_hat, n_samples // 2))))
+        worst_right = float(np.min(_g_d1(spec, params, midpoints(tau_hat, tau, n_samples // 2))))
         slope_ok = bool(worst_left < -1.0 + 1e-6 and worst_right > 1.0 - 1e-6)
 
     outside = np.concatenate(
@@ -314,12 +313,12 @@ def verify_g_shape(
             np.linspace(tau, 3.0 * tau, n_samples // 2),
         ]
     )
-    escape_margin = float(np.min(g(outside) - (h + radius * radius)))
+    escape_margin = float(np.min(g_eval(spec, params, outside) - (h + radius * radius)))
     escape_ok = bool(escape_margin >= -1e-9)
 
-    overall = escape_ok and (curvature_ok if params.q > 1.0 else slope_ok)
+    overall = escape_ok and (curvature_ok if q > 1.0 else slope_ok)
     return GShapeReport(
-        q=params.q,
+        q=q,
         n_samples=n_samples,
         curvature_ok=curvature_ok,
         min_curvature=min_curvature,

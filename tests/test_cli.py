@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from penlq import ReductionInvariantError, cli, conditions, gfun, serde
+from penlq import ReductionInvariantError, cli, conditions, decode, gfun, serde
 
 
 def run(capsys, *argv):
@@ -133,17 +133,21 @@ def test_full_pipeline_no_instance(capsys, tmp_path, mcp_file):
         assert json.loads(out)["verdict"] == "unknown"
 
 
-def test_certify(capsys, tmp_path, mcp_file, tp_file):
+def test_certify(capsys, monkeypatch, tmp_path, mcp_file, tp_file):
     inst = str(tmp_path / "inst.json")
     run(capsys, "reduce", "build", "--in", tp_file, "--spec", mcp_file,
         "--q", "2", "--lambda", "1", "--out", inst)
+    checks = []  # the partition is checked once per certify, by encode_certificate
+    checked_subsets = decode._checked_subsets
+    monkeypatch.setattr(decode, "_checked_subsets",
+                        lambda *args: checks.append(args) or checked_subsets(*args))
     code, out, _ = run(capsys, "certify", "--in", inst, "--partition", "[[1,2,3],[4,5,6]]")
-    assert code == 0
+    assert code == 0 and len(checks) == 1
     report = json.loads(out)
     assert report["optimal"] is True and report["gap"] <= 1e-9
 
     code, out, _ = run(capsys, "certify", "--in", inst, "--partition", "[[1,2,4],[3,5,6]]")
-    assert code == 3
+    assert code == 3 and len(checks) == 2
     assert json.loads(out)["optimal"] is False
 
 
