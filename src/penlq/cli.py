@@ -57,7 +57,6 @@ def cmd_penalty_check(args) -> int:
             "not_linear": report.not_linear_ok,
             "c1": report.c1,
             "smooth_near_tau": report.smooth_ok,
-            "max_second_diff_jump": report.max_second_diff_jump,
             "grid_n": report.grid_n,
             "overall": report.overall,
         }

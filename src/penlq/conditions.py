@@ -1,10 +1,10 @@
-"""Grid-based admissibility checks and randomized inequality fuzzers.
+"""Admissibility checks and randomized inequality fuzzers.
 
 :func:`check_conditions` certifies, up to grid resolution, the two
 properties the reduction needs from a penalty: monotonicity on [0, 2*tau]
-and concavity-but-not-linearity on [0, tau], plus smoothness of the band
-[tau0, tau].  Failures are reported with concrete numerical witnesses, never
-raised.
+and concavity-but-not-linearity on [0, tau], and exactly that no kink of p
+lies in the band [tau0, tau], so p is C^2 there.  Failures are reported with
+concrete numerical witnesses, never raised.
 
 The fuzzers exercise two consequences of those conditions that the rest of
 the package leans on:
@@ -26,7 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _MAX_SIZE, _require_count
-from .penalties import _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, p_eval
+from .penalties import (
+    _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, kink_points, p_eval,
+)
 
 
 @dataclass(frozen=True)
@@ -40,17 +42,17 @@ class ConditionReport:
     not_linear_ok: bool
     c1: float
     smooth_ok: bool
-    max_second_diff_jump: float
-    grid_n: int
+    smooth_witness: float | None  # a kink of p in the band [tau0, tau]
+    grid_n: int  # points of the monotone and concavity grids
     overall: bool
 
 
 def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
-    """Verify the admissibility conditions on uniform grids.
+    """Verify the admissibility conditions, monotone and concave on uniform grids.
 
-    100 <= grid_n <= 10**6 points are used per check (ValueError otherwise);
-    the report records grid_n since the certificate is only as fine as the
-    grid.  Deterministic: identical inputs produce identical reports.
+    100 <= grid_n <= 10**6 points are used per grid (ValueError otherwise);
+    the report records grid_n since those certificates are only as fine as
+    the grid.  Deterministic: identical inputs produce identical reports.
     """
     grid_n = _require_count("grid_n", grid_n, 100, _MAX_SIZE)
     tau, tau0, _ = band(spec)
@@ -79,17 +81,10 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
 
     c1, not_linear_ok = c1_margin(spec, tau0)  # the rule of analyze
 
-    # Smooth band: adjacent second finite differences on [tau0, tau] may not
-    # jump by more than 1e-3 (truncation) of the curvature k_ref + p(tau)/tau**2
-    # plus 16*eps*max|p|/step**2: an error of eps*|p| per sample moves a jump half that.
-    sgrid = np.linspace(tau0, tau, grid_n)
-    svals = p_eval(spec, sgrid)
-    step = sgrid[1] - sgrid[0]
-    fd2 = (svals[2:] - 2.0 * svals[1:-1] + svals[:-2]) / (step * step)
-    k_ref = max(0.0, float(np.max(-fd2)))
-    max_jump = float(np.max(np.abs(np.diff(fd2))))
-    rounding = float(16.0 * np.finfo(float).eps * np.max(np.abs(svals)) / (step * step))
-    smooth_ok = max_jump <= 1e-3 * (k_ref + abs(float(svals[-1])) / tau / tau) + rounding
+    # Smooth band: p is C^2 on [tau0, tau] exactly when none of its kinks
+    # lies there; the interval is closed, as the condition asks for C^2 near tau.
+    smooth_witness = next((kink for kink in kink_points(spec) if tau0 <= kink <= tau), None)
+    smooth_ok = smooth_witness is None
 
     return ConditionReport(
         monotone_ok=monotone_ok,
@@ -99,7 +94,7 @@ def check_conditions(spec: PenaltySpec, grid_n: int = 1000) -> ConditionReport:
         not_linear_ok=not_linear_ok,
         c1=float(c1),
         smooth_ok=smooth_ok,
-        max_second_diff_jump=max_jump,
+        smooth_witness=smooth_witness,
         grid_n=grid_n,
         overall=monotone_ok and concave_ok and not_linear_ok and smooth_ok,
     )

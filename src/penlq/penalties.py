@@ -54,6 +54,10 @@ class PenaltySpec:
     params: Mapping[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ValueError(f"penalty family must be a string, got {self.family!r}")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"{self.family}: params must be a mapping, got {self.params!r}")
         if self.family not in _REGISTRY:
             raise ValueError(f"unknown penalty family {self.family!r}")
         record = _REGISTRY[self.family]
@@ -421,7 +425,4 @@ def spec_to_dict(spec: PenaltySpec) -> dict:
 def spec_from_dict(data: dict) -> PenaltySpec:
     if not isinstance(data, dict) or "family" not in data:
         raise ValueError("penalty spec must be an object with a 'family' key")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("penalty 'params' must be an object")
-    return PenaltySpec(str(data["family"]), params)
+    return PenaltySpec(data["family"], data.get("params", {}))

@@ -24,6 +24,7 @@ other modules read x through :func:`as_solution_matrix`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
 class ThreePartitionInstance:
     """Multiset b_1..b_n of positive integers with n = 3m and sum(b) = m*B.
 
-    m and every item must be Python or numpy integers; floats and bools are
-    rejected with ValueError rather than coerced.
+    m and every item of the iterable b must be Python or numpy integers;
+    floats and bools are rejected with ValueError rather than coerced.
     """
 
     m: int
@@ -45,9 +46,10 @@ class ThreePartitionInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _require_count("m", self.m, 1))
-        if not all(_is_integer(v) for v in self.b):
-            raise ValueError("all items must be integers")
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        b = tuple(self.b) if isinstance(self.b, Iterable) else None
+        if b is None or not all(_is_integer(v) for v in b):
+            raise ValueError("b must be an iterable of integers")
+        object.__setattr__(self, "b", tuple(int(v) for v in b))
         if len(self.b) != 3 * self.m:
             raise ValueError(f"expected n = 3m = {3 * self.m} items, got {len(self.b)}")
         if any(v <= 0 for v in self.b):
@@ -69,8 +71,8 @@ class ThreePartitionInstance:
 class ProblemInstance:
     """A concrete instance of min_x ||A x - target||_q^q + lam * sum_j p(|x_j|).
 
-    A and target must be finite, and q and lam obey the rules of
-    :func:`penlq.gfun.rationalize`; anything else raises ValueError.
+    A and target must be finite, penalty a PenaltySpec, and q and lam obey
+    the rules of :func:`penlq.gfun.rationalize`; anything else raises ValueError.
     """
 
     a_matrix: np.ndarray
@@ -80,6 +82,8 @@ class ProblemInstance:
     penalty: PenaltySpec
 
     def __post_init__(self):
+        if not isinstance(self.penalty, PenaltySpec):
+            raise ValueError(f"penalty must be a PenaltySpec, got {self.penalty!r}")
         a = np.ascontiguousarray(np.asarray(self.a_matrix, dtype=float))
         t = np.ascontiguousarray(np.asarray(self.target, dtype=float))
         if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:

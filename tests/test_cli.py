@@ -769,16 +769,17 @@ _SMOOTH_SPECS = {
     "l0": {}, "bridge": {"p": 0.5}, "hard_threshold": {"gamma": 1.0},
     "scad": {"gamma": 1.0, "a": 3.0}, "mcp": {"gamma": 1.0, "b": 1.0},
     "mcp-b2": {"gamma": 1.0, "b": 2.0}, "piecewise_linear": {"k1": 2.0, "k2": 0.5, "a": 1.0},
-    "fraction": {"gamma": 1.0}, "log": {"gamma": 1.0},
+    "fraction": {"gamma": 1.0}, "fraction-0.1": {"gamma": 0.1},
+    "log": {"gamma": 1.0}, "log-10": {"gamma": 10.0},
 }
-_GRIDS = ("1000", "10000", "100000", "300000", "1000000")
+_GRIDS = ("100", "150", "1000", "10000", "100000", "300000", "1000000")
 
 
 @pytest.mark.parametrize("grid", _GRIDS)
 @pytest.mark.parametrize("name", sorted(_SMOOTH_SPECS))
 def test_penalty_check_keeps_smooth_bands_smooth_at_fine_grids(capsys, tmp_path, name, grid):
-    # at 10**6 points the second differences of p carry rounding noise of
-    # about eps * max|p| / step**2, above the 1e-3 truncation allowance
+    # the band holds no kink of p, so it is smooth at every grid, the
+    # coarse ones included
     spec = _spec_file(tmp_path, name.split("-")[0], **_SMOOTH_SPECS[name])
     code, out, err = run(capsys, "penalty", "check", "--spec", spec, "--grid", grid)
     assert (code, err) == (0, "") and json.loads(out)["smooth_near_tau"] is True
@@ -787,6 +788,8 @@ def test_penalty_check_keeps_smooth_bands_smooth_at_fine_grids(capsys, tmp_path,
 _KINKED_BANDS = {  # family -> (params, a band (tau, tau0, tau_hat) across p's kink at 1)
     "mcp": ({"gamma": 1.0, "b": 1.0}, (1.2, 0.9, 1.05)),  # p'' jumps from -1 to 0
     "scad": ({"gamma": 1.0, "a": 3.0}, (1.3, 0.7, 1.0)),  # from 0 to -1/2
+    # p' drops by 1e-9 of itself
+    "piecewise_linear": ({"k1": 1.0, "k2": 1 - 1e-9, "a": 1.0}, (1.2, 0.9, 1.05)),
 }
 
 
@@ -799,6 +802,7 @@ def test_penalty_check_fails_a_band_across_a_kink_at_every_grid(capsys, tmp_path
     spec = _spec_file(tmp_path, family, **params)
     code, out, _ = run(capsys, "penalty", "check", "--spec", spec, "--grid", grid)
     assert code == 2 and json.loads(out)["smooth_near_tau"] is False
+    assert conditions.check_conditions(serde.load_penalty(spec), int(grid)).smooth_witness == 1.0
 
 
 def test_penalty_fuzz_finds_no_rounding_violations_on_a_wide_scad(capsys, tmp_path):

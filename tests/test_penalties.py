@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from penlq import (
 )
 from penlq.penalties import (
     _float_eval,
+    band,
     spec_from_dict,
     spec_to_dict,
 )
@@ -125,6 +127,9 @@ def test_derivatives_require_positive_t(mcp_spec):
         lambda: penlq.mcp(1e-101, 1.0),  # magnitude below 1e-100
         lambda: penlq.linear(-1.1e100),  # magnitude above 1e100
         lambda: penlq.mcp(Fraction(1, 2), 1.0),  # nor is a Fraction a float
+        lambda: PenaltySpec(["mcp"], {}),  # the family is a string
+        lambda: PenaltySpec("l0", []),  # params are a mapping
+        lambda: PenaltySpec("mcp", None),
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -292,6 +297,55 @@ def test_smooth_band_avoids_kinks():
             an = analyze(spec)
             for kink in kink_points(spec):
                 assert not an.tau0 <= kink <= an.tau, (spec, an, kink)
+
+
+_KINK_SCAN = {  # family -> its spec at scale s; s = 1 gives the default parameters
+    "l0": lambda s: penlq.l0(),
+    "bridge": lambda s: penlq.bridge(0.5),
+    "hard_threshold": penlq.hard_threshold,
+    "scad": lambda s: penlq.scad(s, 3.0),
+    "mcp": lambda s: penlq.mcp(s, 1.0),
+    "piecewise_linear": lambda s: penlq.piecewise_linear(2.0, 0.5, s),
+    "fraction": penlq.fraction,
+    "log": penlq.log_penalty,
+    "linear": penlq.linear,
+}
+
+
+def _unlisted_jumps(spec) -> list:
+    """(derivative, s, t): grid neighbours s < t on [tau0/2, 2*tau] across
+    which p' or p'' changes by over 10 times the change across either
+    adjacent pair, with no listed kink between them.  Grid points at a
+    listed kink are skipped."""
+    tau, tau0, _ = band(spec)
+    kinks = kink_points(spec)
+    grid = np.linspace(tau0 / 2.0, 2.0 * tau, 10_000)
+    grid = grid[[all(abs(t - kink) > 1e-9 * kink for kink in kinks) for t in grid]]
+    jumps = []
+    for derivative in (p_d1, p_d2):
+        change = np.abs(np.diff(derivative(spec, grid)))
+        for k in np.nonzero(change[1:-1] > 10.0 * np.maximum(change[:-2], change[2:]))[0] + 1:
+            s, t = float(grid[k]), float(grid[k + 1])
+            if not any(s < kink < t for kink in kinks):
+                jumps.append((derivative.__name__, s, t))
+    return jumps
+
+
+@pytest.mark.parametrize("family", penlq.FAMILIES)
+def test_kinks_list_every_jump_of_the_derivatives(family):
+    # check_conditions passes the band [tau0, tau] exactly when no listed
+    # kink lies in it, so the list must hold every jump of p' and p''
+    assert set(_KINK_SCAN) == set(penlq.FAMILIES)
+    for s in (1.0, 1e-50, 1e50):
+        assert _unlisted_jumps(_KINK_SCAN[family](s)) == [], s
+
+
+def test_unlisted_jumps_finds_a_kink_missing_from_the_list(monkeypatch):
+    record = dataclasses.replace(penlq.penalties._REGISTRY["mcp"], kinks=lambda **params: ())
+    monkeypatch.setitem(penlq.penalties._REGISTRY, "mcp", record)
+    for s in (1.0, 1e-50, 1e50):
+        jumps = _unlisted_jumps(penlq.mcp(s, 1.0))
+        assert [(name, a < s < b) for name, a, b in jumps] == [("p_d2", True)]
 
 
 def test_spec_json_round_trip(specs):

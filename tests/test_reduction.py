@@ -34,6 +34,7 @@ BOUND_MCP = 5.647938931297711  # 6 * h for the worked example
         (2, (True, True, 1, 1, 1, 1)),  # bool is not an integer here
         (2.0, (1, 2, 3, 1, 2, 3)),
         (True, (1, 2, 3)),
+        (1, 5),  # b is an iterable of items
     ],
 )
 def test_tp_validation(m, b):
@@ -45,6 +46,7 @@ def test_tp_accepts_numpy_integers():
     tp = ThreePartitionInstance(m=np.int64(2), b=np.array([1, 2, 3, 1, 2, 3]))
     assert tp == ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
     assert type(tp.m) is int and all(type(v) is int for v in tp.b)
+    assert ThreePartitionInstance(m=2, b=iter(tp.b)) == tp  # b is read once
 
 
 def test_tp_derived_fields():
@@ -201,6 +203,12 @@ def test_objective_dimension_mismatch(demo_instance):
 def test_problem_instance_requires_one_target_entry_per_row(mcp_spec, a, target):
     with pytest.raises(ValueError, match="one target entry per row"):
         penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
+
+
+@pytest.mark.parametrize("penalty", ["mcp", None, {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}}])
+def test_problem_instance_requires_a_penalty_spec(penalty):
+    with pytest.raises(ValueError, match="penalty must be a PenaltySpec"):
+        penlq.ProblemInstance(np.eye(2), np.zeros(2), 1.0, 2.0, penalty)
 
 
 def test_encode_rejects_malformed_partitions(demo_instance):
