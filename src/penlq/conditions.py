@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _MAX_SIZE, _require_count
+from .errors import _MAX_SIZE, _require_array, _require_count
 from .penalties import (
     _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, kink_points, p_eval,
 )
@@ -110,7 +110,7 @@ def _subadditive_rows(spec: PenaltySpec, rows: np.ndarray) -> np.ndarray:
 
 def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
     """Check sum_i p(|t_i|) >= min(p(|sum_i t_i|), p(tau)) for len >= 2."""
-    t_arr = np.asarray(t_list, dtype=float)
+    t_arr = _require_array("t_list", t_list)
     if t_arr.ndim != 1 or t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
     return bool(_subadditive_rows(spec, t_arr[None, :])[0])
@@ -162,10 +162,10 @@ def classify_split(
     delta_max = _concentration_radius(tau0, tau, t_tilde)
     if not 0.0 < delta < delta_max:
         raise ValueError(f"delta must lie in (0, {delta_max:g})")
-    t_arr = np.asarray(t_list, dtype=float)
+    t_arr = _require_array("t_list", t_list)
     if t_arr.size < 2:
         raise ValueError("t_list must contain at least two entries")
-    if not abs(float(np.sum(t_arr)) - t_tilde) <= _SLACK * t_tilde:  # also rejects NaN
+    if not abs(float(np.sum(t_arr)) - t_tilde) <= _SLACK * t_tilde:
         raise ValueError(f"t_list must sum to t_tilde (to within {_SLACK:g}*t_tilde)")
     return _VERDICTS[_classify_rows(spec, analysis, t_tilde, delta, t_arr.reshape(1, -1))[0]]
 

@@ -78,11 +78,10 @@ def round_solution(red: ReductionInstance, x) -> tuple[int, ...]:
 
     An entry is a spike iff it exceeds t_star/2, and every row must hold
     exactly one; the first row that does not raises RoundingFailureError
-    naming it.  A non-finite x raises ValueError.
+    naming it.  An x that is not a finite (n*m,) or (n, m) array raises
+    ValueError.
     """
     x_mat = as_solution_matrix(red, x)
-    if not np.isfinite(x_mat).all():
-        raise ValueError("x must contain only finite numbers")
     half = 0.5 * red.t_star
     spikes = x_mat > half
     counts = np.count_nonzero(spikes, axis=1)
@@ -135,7 +134,8 @@ def decide(red: ReductionInstance, x) -> Partition | None:
     although F(x) < bound + epsilon breaks the reduction's guarantee and
     raises ReductionInvariantError when even F plus a bound on its rounding
     error lies below it; otherwise the verdict is None, also when F
-    overflows.  A non-finite x raises ValueError.
+    overflows.  An x that is not a finite (n*m,) or (n, m) array raises
+    ValueError.
     """
     try:
         partition = _partition(red.tp, round_solution(red, x), red.m)  # its columns need no check

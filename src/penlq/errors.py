@@ -7,6 +7,9 @@ takes one, :func:`_is_parameter` the one range of a penalty parameter, and
 each rule on a number is stated here once (the _require_* helpers); a no
 raises ValueError there, never a coercion.  A yes returns the Python float
 or int of the value, the one form every record keeps, whatever its type.
+Arrays pass the same rules entrywise through :func:`_require_array`, which
+returns a float ndarray and refuses bool, str, complex and object arrays,
+NaN and +-inf; the shape of an array is the caller's rule.
 """
 
 import functools
@@ -63,6 +66,16 @@ def _require_real(name: str, value, rule: str = "") -> float:
     if not (_is_real(value) and ok(value)):
         raise ValueError(f"{name} must be {text}, got {value!r}")
     return float(value)
+
+
+def _require_array(name: str, value, rule: str = "") -> np.ndarray:
+    """``value`` as a float ndarray if it holds integers or floats only, each
+    a finite number obeying ``rule``, a key of _REAL_RULES."""
+    text, ok = _REAL_RULES[rule]
+    a = np.asarray(value)
+    if not (a.dtype.kind in "iuf" and np.isfinite(a).all() and (not rule or ok(a).all())):
+        raise ValueError(f"{name} must hold only integers or floats, each {text}, got {a!r}")
+    return a.astype(float, copy=False)
 
 
 _require_q = functools.partial(_require_real, "q", rule=">= 1")

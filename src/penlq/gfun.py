@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _require_count, _require_lam, _require_q, _require_real
+from .errors import _require_array, _require_count, _require_lam, _require_q, _require_real
 from .penalties import PenaltyAnalysis, PenaltySpec, analyze, p_d1, p_d2, p_eval
 
 _GRID_EXP = 20  # coefficient roots are multiples of 2**-_GRID_EXP
@@ -172,15 +172,15 @@ def rationalize(
 
 
 def g_eval(spec: PenaltySpec, params: GParams, t):
-    """Evaluate g at any real t (scalar or array)."""
-    t_arr = np.asarray(t, dtype=float)
+    """Evaluate g at any finite real t (scalar or array); anything else raises ValueError."""
+    t_arr = _require_array("t", t)
     abs_t = np.abs(t_arr)
     out = (
         p_eval(spec, abs_t)
         + params.theta * abs_t**params.q
         + params.mu * np.abs(t_arr - params.tau_hat) ** params.q
     )
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def _g_d1(spec: PenaltySpec, params: GParams, t):

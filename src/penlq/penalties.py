@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConditionViolationError, NondifferentiableError, _is_parameter
+from .errors import ConditionViolationError, NondifferentiableError, _is_parameter, _require_array
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,16 @@ class PenaltyAnalysis:
 
 
 def p_eval(spec: PenaltySpec, t):
-    """Evaluate p(t) for t >= 0 (scalar or array); NaN raises ValueError."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0):  # also rejects NaN
-        raise ValueError("p_eval: t must be non-negative")
-    out = _REGISTRY[spec.family].value(t_arr, **spec.params)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    """Evaluate p(t) for finite t >= 0 (scalar or array); anything else raises ValueError."""
+    t_arr = _require_array("t", t, "non-negative")
+    out = _p_values(spec, t_arr)
+    return float(out) if t_arr.ndim == 0 else out
+
+
+def _p_values(spec: PenaltySpec, t: np.ndarray) -> np.ndarray:
+    """p at the float array t, unchecked: the caller has applied the
+    array rule and passes |t|."""
+    return _REGISTRY[spec.family].value(t, **spec.params)
 
 
 def p_d1(spec: PenaltySpec, t):
@@ -182,9 +186,7 @@ def _float_eval(spec: PenaltySpec):
 
 def _derivative(spec: PenaltySpec, t, field: str):
     """The family's ``field`` ("d1" or "d2") at t > 0, off the kink points."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ValueError("derivatives are defined for t > 0 only")
+    t_arr = _require_array("t", t, "positive")
     for kink in kink_points(spec):
         hit = np.abs(t_arr - kink) <= _SLACK * kink
         if np.any(hit):
@@ -192,7 +194,7 @@ def _derivative(spec: PenaltySpec, t, field: str):
                 f"{spec.family}: derivative undefined at kink t = {kink}"
             )
     out = getattr(_REGISTRY[spec.family], field)(t_arr, **spec.params)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return float(out) if t_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

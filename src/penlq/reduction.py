@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _is_integer, _require_count, _require_lam, _require_q
+from .errors import _is_integer, _require_array, _require_count, _require_lam, _require_q
 from .gfun import GAnalysis, GParams, full_analysis
-from .penalties import PenaltyAnalysis, PenaltySpec, p_eval
+from .penalties import PenaltyAnalysis, PenaltySpec, _p_values
 
 @dataclass(frozen=True)
 class ThreePartitionInstance:
@@ -84,12 +84,10 @@ class ProblemInstance:
     def __post_init__(self):
         if not isinstance(self.penalty, PenaltySpec):
             raise ValueError(f"penalty must be a PenaltySpec, got {self.penalty!r}")
-        a = np.ascontiguousarray(np.asarray(self.a_matrix, dtype=float))
-        t = np.ascontiguousarray(np.asarray(self.target, dtype=float))
+        a = np.array(_require_array("A", self.a_matrix), order="C")  # copied: frozen below
+        t = np.array(_require_array("target", self.target))
         if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
             raise ValueError("A must be 2-d with one target entry per row")
-        if not (np.isfinite(a).all() and np.isfinite(t).all()):
-            raise ValueError("A and target must be finite")
         object.__setattr__(self, "q", _require_q(self.q))
         object.__setattr__(self, "lam", _require_lam(self.lam))
         a.setflags(write=False)
@@ -106,13 +104,13 @@ class ProblemInstance:
         return self.a_matrix.shape[1]
 
     def objective(self, x) -> float:
-        """||A x - target||_q^q + lam * sum_j p(|x_j|) for a flat x."""
-        x_arr = np.asarray(x, dtype=float).reshape(-1)
+        """||A x - target||_q^q + lam * sum_j p(|x_j|) for a flat finite x."""
+        x_arr = _require_array("x", x).reshape(-1)
         if x_arr.size != self.cols:
             raise ValueError(f"x must have {self.cols} entries, got {x_arr.size}")
         residual = self.a_matrix @ x_arr - self.target
         fit = float(np.sum(np.abs(residual) ** self.q))
-        return fit + self.lam * float(np.sum(p_eval(self.penalty, np.abs(x_arr))))
+        return fit + self.lam * float(np.sum(_p_values(self.penalty, np.abs(x_arr))))
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,16 @@ def build(
 
 
 def as_solution_matrix(red: ReductionInstance, x) -> np.ndarray:
-    """Coerce x into the (n, m) row-major solution layout."""
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.size != red.n * red.m:
-        raise ValueError(f"solution must have {red.n * red.m} entries, got {x_arr.size}")
-    return x_arr.reshape(red.n, red.m)
+    """x as the (n, m) row-major solution matrix: a finite x of shape (n*m,)
+    or (n, m), anything else raises ValueError."""
+    x_arr, n, m = _require_array("x", x), red.n, red.m
+    if x_arr.shape not in ((n * m,), (n, m)):
+        raise ValueError(f"x must have shape ({n * m},) or ({n}, {m}), got {x_arr.shape}")
+    return x_arr.reshape(n, m)
 
 
 def objective(red: ReductionInstance, x) -> float:
-    """F(x) for an (n, m) solution matrix (or anything reshapable to it)."""
+    """F(x) for a solution x of shape (n*m,) or (n, m)."""
     return red.problem.objective(as_solution_matrix(red, x))
 
 

@@ -51,9 +51,9 @@ def load_penalty(path) -> PenaltySpec:
 def tp_from_dict(data: dict) -> ThreePartitionInstance:
     if isinstance(data, dict) and "tp" in data:
         data = data["tp"]
-    if not isinstance(data, dict) or "m" not in data or not isinstance(data.get("b"), list):
-        raise ValueError("3-partition input must provide 'm' and a list 'b'")
-    return ThreePartitionInstance(m=data["m"], b=tuple(data["b"]))
+    if not (isinstance(data, dict) and "m" in data and "b" in data):
+        raise ValueError("3-partition input must be an object with 'm' and 'b' keys")
+    return ThreePartitionInstance(m=data["m"], b=data["b"])
 
 
 def load_tp(path) -> ThreePartitionInstance:
@@ -143,13 +143,13 @@ def load_solution_matrix(path, red: ReductionInstance) -> np.ndarray:
 
     Raises ValueError unless "x" is a flat list of n*m finite JSON numbers;
     strings, bools, null and integers beyond float range are not coerced.
+    Each entry is checked here because numpy would read a bool among floats
+    as 1.0; the count is :func:`penlq.reduction.as_solution_matrix`'s rule.
     """
     data = read_json(path)
     if not isinstance(data, dict) or "x" not in data:
         raise ValueError("solution file must be an object with an 'x' key")
     x = data["x"]
-    if not isinstance(x, list) or len(x) != red.n * red.m:
-        raise ValueError(f"solution 'x' must be a flat list of {red.n * red.m} numbers")
-    if not all(_is_real(v) for v in x):
-        raise ValueError("solution 'x' must contain only finite numbers")
+    if not (isinstance(x, list) and all(_is_real(v) for v in x)):
+        raise ValueError("solution 'x' must be a flat list of finite numbers")
     return as_solution_matrix(red, x)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decode import _certificate, decide
-from .errors import SizeGuardError, _require_count, _require_real
+from .errors import SizeGuardError, _require_array, _require_count, _require_real
 from .penalties import _float_eval, kink_points
 from .reduction import (
     ProblemInstance, ReductionInstance, as_solution_matrix, objective, optimal_bound,
@@ -96,7 +96,7 @@ def minimize_structured(red: ReductionInstance) -> SolveResult:
     n, m = red.n, red.m
     require_desk_scale(m, n)
     total = m**n
-    b = np.asarray(red.tp.b, dtype=float)  # exact: build caps sum(b) at 2**53
+    b = np.array(red.tp.b, dtype=float)  # exact: build caps sum(b) at 2**53
     low = n // 2
     lo = _half_weights(low, m) @ b[:low]
     hi = _half_weights(n - low, m) @ b[low:]
@@ -241,15 +241,11 @@ def local_descent(
     restriction, and then updates just those residuals.  Once per sweep
     the full objective is evaluated: a sweep that raised it (by rounding)
     is undone, so the objective is non-increasing, and descent stops once
-    a sweep improves by less than tol.  Raises ValueError for a non-finite
-    x0, or unless step is a positive finite number, max_iters a
-    non-negative integer and tol a non-negative finite number.
+    a sweep improves by less than tol.  Raises ValueError unless x0 holds
+    problem.cols finite numbers, step is a positive finite number,
+    max_iters a non-negative integer and tol a non-negative finite number.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != problem.cols:
-        raise ValueError(f"x0 must have {problem.cols} entries, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
+    x = _require_array("x0", x0).reshape(-1)
     step = _require_real("step", step, "positive")
     max_iters = _require_count("max_iters", max_iters, 0)
     tol = _require_real("tol", tol, "non-negative")

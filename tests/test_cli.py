@@ -159,22 +159,23 @@ def test_malformed_tp_is_usage_error(capsys, tmp_path, mcp_file):
     assert code == 1 and "divisible" in err
 
 
-@pytest.mark.parametrize(
-    "tp",
-    [
-        '{"m": 2, "b": [1.5, 2, 3, 1, 2, 3.7]}',
-        '{"m": 2, "b": [true, true, 1, 1, 1, 1]}',
-        '{"m": 2.9, "b": [1, 2, 3, 1, 2, 3]}',
-        '{"m": 2, "b": 5}',
-    ],
-)
+_NON_INTEGER_TPS = {  # input -> the error it gets, stated by ThreePartitionInstance alone
+    '{"m": 2, "b": [1.5, 2, 3, 1, 2, 3.7]}': "b must be an iterable of integers",
+    '{"m": 2, "b": [true, true, 1, 1, 1, 1]}': "b must be an iterable of integers",
+    '{"m": 2.9, "b": [1, 2, 3, 1, 2, 3]}': "m must be an integer >= 1, got 2.9",
+    '{"m": 2, "b": 5}': "b must be an iterable of integers",
+    '{"m": 2, "b": "123456"}': "b must be an iterable of integers",
+}
+
+
+@pytest.mark.parametrize("tp", _NON_INTEGER_TPS)
 def test_non_integer_tp_is_usage_error(capsys, tmp_path, mcp_file, tp):
     path = tmp_path / "bad.json"
     path.write_text(tp)
     out_file = tmp_path / "x.json"
     code, out, err = run(capsys, "reduce", "build", "--in", str(path), "--spec", mcp_file,
                          "--q", "2", "--lambda", "1", "--out", str(out_file))
-    assert code == 1 and out == "" and "penlq: error" in err
+    assert code == 1 and out == "" and f"penlq: error: {_NON_INTEGER_TPS[tp]}" in err
     assert not out_file.exists()
 
 

@@ -91,3 +91,85 @@ def test_numbers_enter_in_one_form(name, form, tmp_path):
         assert type(data["q"]) is float and type(data["lambda"]) is float
         loaded = serde.load_instance(tmp_path / "inst.json")
         assert repr(loaded) == repr(record)
+
+
+# Arrays enter in one form too: entry -> (call of one array argument, the
+# argument's name, a value it admits).  Every value is a small integer or
+# holds only small integers, so each admitted form below carries it exactly.
+WIDE = penlq.mcp(10.0, 1.0)  # its band is [6, 8], its kink at 10
+DEMO = penlq.build(YES, SPEC, 2.0, 1.0)
+PATTERN = [[1, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1]]  # spikes of [[1, 2, 3], [4, 5, 6]]
+SMALL = penlq.ProblemInstance([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0], 1.0, 2.0, SPEC)
+ARRAYS = {
+    "p_eval": (lambda t: penlq.p_eval(WIDE, t), "t", [0, 1, 2, 3]),
+    "p_eval-scalar": (lambda t: penlq.p_eval(WIDE, t), "t", 3),
+    "p_d1": (lambda t: penlq.p_d1(WIDE, t), "t", 2),
+    "p_d2": (lambda t: penlq.p_d2(WIDE, t), "t", [1, 2, 3]),
+    "g_eval": (lambda t: penlq.g_eval(SPEC, PARAMS, t), "t", [-1, 0, 1, 2]),
+    "subadditive_bound_holds": (lambda t: penlq.subadditive_bound_holds(WIDE, t), "t_list",
+                                [1, 2]),
+    "classify_split": (lambda t: penlq.classify_split(WIDE, penlq.analyze(WIDE), 7.0, 0.5, t),
+                       "t_list", [6, 1]),
+    "ProblemInstance-A": (lambda a: penlq.ProblemInstance(a, [1.0, 0.0], 1.0, 2.0, SPEC), "A",
+                          [[1, 2], [3, 4]]),
+    "ProblemInstance-target": (lambda t: penlq.ProblemInstance([[1.0, 2.0], [3.0, 4.0]], t,
+                                                               1.0, 2.0, SPEC), "target", [1, 0]),
+    "ProblemInstance.objective": (SMALL.objective, "x", [1, 2]),
+    "objective": (lambda x: penlq.objective(DEMO, x), "x", PATTERN),
+    "objective-flat": (lambda x: penlq.objective(DEMO, x), "x", np.ravel(PATTERN).tolist()),
+    "round_solution": (lambda x: penlq.round_solution(DEMO, x), "x", PATTERN),
+    "decide": (lambda x: penlq.decide(DEMO, x), "x", PATTERN),
+    "local_descent": (lambda x0: local_descent(NO.problem, x0, 0.5, 3), "x0",
+                      np.ravel(PATTERN).tolist()),
+}
+
+
+def _put(a: np.ndarray, value) -> np.ndarray:
+    """A copy of a with its last entry set to value."""
+    a = a.copy()
+    a.flat[-1] = value
+    return a
+
+
+ADMITTED = {  # the scalar of a 0-d array is the [()] of it
+    "float32": lambda a: a.astype(np.float32)[()],
+    "float16": lambda a: a.astype(np.float16)[()],
+    "int64": lambda a: a[()],
+    "list": lambda a: a.tolist(),
+}
+REFUSED = {
+    "bool": lambda a: (a > 0)[()],
+    "str": lambda a: a.astype(str)[()],
+    "complex": lambda a: (a + 1j)[()],
+    "object": lambda a: _put(a.astype(object), None)[()],
+    "nan": lambda a: _put(a.astype(float), np.nan)[()],
+    "inf": lambda a: _put(a.astype(float), np.inf)[()],
+    "-inf": lambda a: _put(a.astype(float), -np.inf)[()],
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("form", ADMITTED)
+def test_arrays_enter_in_one_form(name, form):
+    call, _, value = ARRAYS[name]
+    a = np.asarray(value)
+    assert a.dtype == np.int64
+    assert repr(call(ADMITTED[form](a))) == repr(call(a.astype(np.float64)[()]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("form", REFUSED)
+def test_arrays_refuse_every_other_form(name, form):
+    call, argument, value = ARRAYS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must hold only integers or floats"):
+        call(REFUSED[form](np.asarray(value)))
+
+
+@pytest.mark.parametrize("name", ["objective", "round_solution", "decide"])
+@pytest.mark.parametrize("shape", ["transposed", "3x4"])
+def test_solutions_are_flat_or_n_by_m(name, shape):
+    call, _, value = ARRAYS[name]
+    x = np.asarray(value, dtype=float)
+    with pytest.raises(ValueError, match=r"^x must have shape \(12,\) or \(6, 2\)"):
+        call(x.T if shape == "transposed" else x.reshape(3, 4))

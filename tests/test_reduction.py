@@ -192,6 +192,14 @@ def test_problem_instance_requires_finite_matrix_and_target(mcp_spec, a, target)
         penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
 
 
+def test_problem_instance_leaves_the_callers_arrays_writable(mcp_spec):
+    a, target = np.eye(2), np.zeros(2)
+    problem = penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
+    a[0, 0], target[0] = 5.0, 1.0  # the caller's arrays, not the record's
+    assert problem.a_matrix[0, 0] == 1.0 and problem.target[0] == 0.0
+    assert not (problem.a_matrix.flags.writeable or problem.target.flags.writeable)
+
+
 def test_objective_dimension_mismatch(demo_instance):
     with pytest.raises(ValueError):
         objective(demo_instance, np.zeros((6, 3)))
