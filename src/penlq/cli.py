@@ -8,7 +8,6 @@ not optimal), 4 reduction-invariant violation, 5 size guard or MemoryError.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -123,7 +122,7 @@ def cmd_reduce_build(args) -> int:
 def cmd_certify(args) -> int:
     red = serde.load_instance(args.infile)
     raw = args.partition  # isfile: False, not an error, for a name too long to be a path
-    subsets = serde.read_json(raw) if os.path.isfile(raw) else json.loads(raw)
+    subsets = serde.read_json(raw) if os.path.isfile(raw) else serde.loads(raw, "--partition")
     cert = decode.encode_certificate(red, subsets)
     optimal = decode.decide(red, cert) is not None  # cert rounds back to subsets
     value = objective(red, cert)
@@ -134,9 +133,9 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     data = serde.read_json(args.infile)
-    tp = serde.instance_tp(data)
+    tp = serde.instance_tp(data, args.infile)
     solver.require_desk_scale(tp.m, tp.n)  # before the build: it needs m and n alone
-    red = serde.instance_from_dict(data)
+    red = serde.instance_from_dict(data, args.infile)
     result = solver.solve(red)
     serde.save_solution(args.out, result)
     _emit(
@@ -166,7 +165,7 @@ def cmd_demo(args) -> int:
     def line(name, value, formula):
         print(f"{name:<12}= {format(float(value), '.17g'):<22} {formula}")
 
-    print(f"penalty {json.dumps(spec_to_dict(spec))}, q = {q:g}, lambda = {lam:g}")
+    print(f"penalty {serde.dumps(spec_to_dict(spec))}, q = {q:g}, lambda = {lam:g}")
     print(f"items b = {list(tp.b)}, m = {tp.m}, B = {tp.target_sum}")
     line("tau", an.tau, "concavity horizon (family default)")
     line("tau0", an.tau0, "0.75*tau; p smooth on [tau0, tau]")
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
     except ReductionInvariantError as exc:
         print(f"penlq: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (PenlqError, ValueError, OSError, KeyError) as exc:
+    except (PenlqError, ValueError, OSError) as exc:
         print(f"penlq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

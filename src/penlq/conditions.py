@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _MAX_SIZE, _require_array, _require_count
+from .errors import _MAX_SIZE, _require_array, _require_count, _require_real
 from .penalties import (
     _SLACK, PenaltyAnalysis, PenaltySpec, analyze, band, c1_margin, kink_points, p_eval,
 )
@@ -108,12 +108,17 @@ def _subadditive_rows(spec: PenaltySpec, rows: np.ndarray) -> np.ndarray:
     return lhs >= rhs - _SLACK * np.abs(rhs)
 
 
-def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
-    """Check sum_i p(|t_i|) >= min(p(|sum_i t_i|), p(tau)) for len >= 2."""
+def _require_t_list(t_list) -> np.ndarray:
+    """``t_list`` as a float vector of two or more entries, by the array rule."""
     t_arr = _require_array("t_list", t_list)
     if t_arr.ndim != 1 or t_arr.size < 2:
-        raise ValueError("t_list must contain at least two entries")
-    return bool(_subadditive_rows(spec, t_arr[None, :])[0])
+        raise ValueError("t_list must be a flat list of at least two entries")
+    return t_arr
+
+
+def subadditive_bound_holds(spec: PenaltySpec, t_list: Sequence[float]) -> bool:
+    """Check sum_i p(|t_i|) >= min(p(|sum_i t_i|), p(tau)) for len >= 2."""
+    return bool(_subadditive_rows(spec, _require_t_list(t_list)[None, :])[0])
 
 
 class SplitVerdict(enum.Enum):
@@ -157,14 +162,13 @@ def classify_split(
     Boundary equality counts as concentrated (measure-zero convention).
     """
     tau0, tau = analysis.tau0, analysis.tau
+    t_tilde, delta = _require_real("t_tilde", t_tilde), _require_real("delta", delta)
     if not tau0 < t_tilde < tau:
         raise ValueError(f"t_tilde must lie in ({tau0:g}, {tau:g})")
     delta_max = _concentration_radius(tau0, tau, t_tilde)
     if not 0.0 < delta < delta_max:
         raise ValueError(f"delta must lie in (0, {delta_max:g})")
-    t_arr = _require_array("t_list", t_list)
-    if t_arr.size < 2:
-        raise ValueError("t_list must contain at least two entries")
+    t_arr = _require_t_list(t_list)
     if not abs(float(np.sum(t_arr)) - t_tilde) <= _SLACK * t_tilde:
         raise ValueError(f"t_list must sum to t_tilde (to within {_SLACK:g}*t_tilde)")
     return _VERDICTS[_classify_rows(spec, analysis, t_tilde, delta, t_arr.reshape(1, -1))[0]]

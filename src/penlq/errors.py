@@ -8,12 +8,16 @@ each rule on a number is stated here once (the _require_* helpers); a no
 raises ValueError there, never a coercion.  A yes returns the Python float
 or int of the value, the one form every record keeps, whatever its type.
 Arrays pass the same rules entrywise through :func:`_require_array`, which
-returns a float ndarray and refuses bool, str, complex and object arrays,
-NaN and +-inf; the shape of an array is the caller's rule.
+returns a float ndarray and refuses bool, str, complex, object and ragged
+arrays, NaN and +-inf; the shape of an array is the caller's rule.  Records
+(a penalty spec and its params, a 3-partition input, an instance or solution
+file) pass one key rule, :func:`_require_keys`: a mapping that holds the
+keys it must and, where the record is closed, no other.
 """
 
 import functools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -72,10 +76,29 @@ def _require_array(name: str, value, rule: str = "") -> np.ndarray:
     """``value`` as a float ndarray if it holds integers or floats only, each
     a finite number obeying ``rule``, a key of _REAL_RULES."""
     text, ok = _REAL_RULES[rule]
-    a = np.asarray(value)
-    if not (a.dtype.kind in "iuf" and np.isfinite(a).all() and (not rule or ok(a).all())):
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences, which no array holds
+        a = value
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf" and np.isfinite(a).all()
+            and (not rule or ok(a).all())):
         raise ValueError(f"{name} must hold only integers or floats, each {text}, got {a!r}")
     return a.astype(float, copy=False)
+
+
+def _require_keys(name: str, value, required, allowed=None):
+    """``value`` if it is a mapping that holds every key of ``required`` and,
+    unless ``allowed`` is None, no other key.  Keys are named in the order
+    of their repr, so a key of any type can be named."""
+    if not isinstance(value, Mapping):
+        keys = f" with the keys {sorted(required, key=repr)}" if required else ""
+        raise ValueError(f"{name} must be an object{keys}, got {type(value).__name__}")
+    faults = {"missing": set(required) - value.keys(),
+              "unexpected": set() if allowed is None else value.keys() - set(allowed)}
+    if any(faults.values()):
+        raise ValueError(f"{name}: " + ", ".join(
+            f"{fault} keys {sorted(keys, key=repr)}" for fault, keys in faults.items() if keys))
+    return value
 
 
 _require_q = functools.partial(_require_real, "q", rule=">= 1")

@@ -36,7 +36,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConditionViolationError, NondifferentiableError, _is_parameter, _require_array
+from .errors import (
+    ConditionViolationError, NondifferentiableError, _is_parameter, _require_array, _require_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,10 @@ class PenaltySpec:
     def __post_init__(self):
         if not isinstance(self.family, str):
             raise ValueError(f"penalty family must be a string, got {self.family!r}")
-        if not isinstance(self.params, Mapping):
-            raise ValueError(f"{self.family}: params must be a mapping, got {self.params!r}")
         if self.family not in _REGISTRY:
             raise ValueError(f"unknown penalty family {self.family!r}")
         record = _REGISTRY[self.family]
-        missing = sorted(set(record.params) - set(self.params))
-        extra = sorted(set(self.params) - set(record.params))
-        if missing:
-            raise ValueError(f"{self.family}: missing parameters {missing}")
-        if extra:
-            raise ValueError(f"{self.family}: unexpected parameters {extra}")
+        _require_keys(f"{self.family} params", self.params, record.params, record.params)
         for name, ok in record.params.items():
             value = self.params[name]
             if not (_is_parameter(value) and ok(value)):
@@ -424,7 +419,6 @@ def spec_to_dict(spec: PenaltySpec) -> dict:
     return {"family": spec.family, "params": dict(spec.params)}
 
 
-def spec_from_dict(data: dict) -> PenaltySpec:
-    if not isinstance(data, dict) or "family" not in data:
-        raise ValueError("penalty spec must be an object with a 'family' key")
+def spec_from_dict(data, name: str = "penalty spec") -> PenaltySpec:
+    data = _require_keys(name, data, ("family",))
     return PenaltySpec(data["family"], data.get("params", {}))

@@ -1,9 +1,12 @@
+import copy
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+import penlq
 from penlq import ReductionInvariantError, cli, conditions, decode, gfun, serde
 
 
@@ -725,18 +728,133 @@ def test_decode_of_an_x_whose_objective_overflows_is_unknown_and_quiet(capsys, t
     assert (code, err) == (3, "") and json.loads(out)["verdict"] == "unknown"
 
 
-@pytest.mark.parametrize("text", [
-    "[1]", "null", '"tp"',
+_DEMO = penlq.build(penlq.ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3)), penlq.mcp(1.0, 1.0),
+                   2.0, 1.0)
+_RECORDS = {  # name -> a valid record, and the file the argv below name it by
+    "spec": {"family": "mcp", "params": {"gamma": 1.0, "b": 1.0}},
+    "tp": {"m": 2, "b": [1, 2, 3, 1, 2, 3]},
+    "inst": serde.instance_to_dict(_DEMO),
+    "sol": serde.solution_to_dict(penlq.solve(_DEMO)),
+    "partition": [[1, 2, 3], [4, 5, 6]],
+}
+_Q2 = ["--q", "2", "--lambda", "1"]
+# Every verb argument that reads JSON: id -> (the verb with its other
+# arguments, the argument, the record it reads and a key that record
+# requires, None for the partition list)
+_JSON_READERS = {
+    "check-spec": (["penalty", "check", "--grid", "100"], "--spec", "spec", "family"),
+    "fuzz-spec": (["penalty", "fuzz", "--trials", "10"], "--spec", "spec", "family"),
+    "analyze-spec": (["gfun", "analyze", *_Q2], "--spec", "spec", "family"),
+    "build-spec": (["reduce", "build", "--in", "{tp}", *_Q2, "--out", "{out}"], "--spec", "spec",
+                   "family"),
+    "build-in": (["reduce", "build", "--spec", "{spec}", *_Q2, "--out", "{out}"], "--in", "tp",
+                 "m"),
+    "certify-in": (["certify", "--partition", "{partition}"], "--in", "inst", "penalty"),
+    "certify-partition": (["certify", "--in", "{inst}"], "--partition", "partition", None),
+    "certify-partition-inline": (["certify", "--in", "{inst}"], "--partition", "partition", None),
+    "solve-in": (["solve", "--out", "{out}"], "--in", "inst", "penalty"),
+    "decode-in": (["decode", "--sol", "{sol}"], "--in", "inst", "penalty"),
+    "decode-sol": (["decode", "--in", "{inst}"], "--sol", "sol", "x"),
+}
+
+
+def _malformed(record, key):
+    """Malformed forms of ``record``: form -> its text, or its bytes when
+    they are not UTF-8."""
+    text = json.dumps(record)
+    forms = {"deep": "[" * 100_000 + "]" * 100_000, "invalid-json": text[:-1],
+             "not-utf-8": b"\xff" + text.encode()}
+    if key is None:  # the partition: a list, so a repeated key sits in an entry
+        forms["repeated-key"] = text[:-1] + ', {"a": 1, "a": 1}]'
+    else:
+        forms["repeated-key"] = text[:-1] + f", {json.dumps(key)}: {json.dumps(record[key])}}}"
+        forms["non-object"] = "[1]"
+        forms["missing-key"] = json.dumps({k: v for k, v in record.items() if k != key})
+    return forms
+
+
+def _run_reader(capsys, tmp_path, reader, value):
+    """Run the verb of ``reader`` on valid files, its argument reading
+    ``value`` (the text inline, or a file of the text or bytes); returns the
+    name an error should give that input, the exit code, stdout and stderr."""
+    argv, argument, record, _ = _JSON_READERS[reader]
+    paths = {}
+    for name, valid in _RECORDS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(valid))
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    if reader.endswith("-inline"):
+        paths[record], source = value, "--partition"
+    else:
+        paths[record] = source = str(tmp_path / "input.json")
+        Path(source).write_bytes(value if isinstance(value, bytes) else value.encode())
+    argv = [a.format(**paths, out=out) for a in argv]
+    return (source, *run(capsys, *argv, argument, paths[record]))
+
+
+_MALFORMED_INPUTS = [
+    pytest.param(reader, value, id=f"{reader}-{form}")
+    for reader, (_, _, record, key) in _JSON_READERS.items()
+    for form, value in _malformed(_RECORDS[record], key).items()
+    if not (reader.endswith("-inline") and isinstance(value, bytes))  # argv holds text
+] + [  # an instance file that is no object, or lacks a recipe key
+    pytest.param("solve-in", text, id=text) for text in ("[1]", "null", '"tp"')
+] + [
     # no penalty key: refused before the size guard, which m = 5 would trip
-    pytest.param('{"tp": {"m": 5, "b": [' + ", ".join(["1"] * 15) + ']}, "q": 2, "lambda": 1}',
-                 id="missing-penalty"),
-])
-def test_non_object_instance_file_is_usage_error(capsys, tmp_path, text):
-    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
-    inst.write_text(text)
-    code, out, err = run(capsys, "solve", "--in", str(inst), "--out", str(sol))
-    assert code == 1 and out == "" and "penlq: error" in err
-    assert not sol.exists()
+    pytest.param("solve-in", '{"tp": {"m": 5, "b": [' + ", ".join(["1"] * 15)
+                 + ']}, "q": 2, "lambda": 1}', id="missing-penalty"),
+]
+
+
+@pytest.mark.parametrize("reader, value", _MALFORMED_INPUTS)
+def test_non_object_instance_file_is_usage_error(capsys, tmp_path, reader, value):
+    # every argument that reads JSON: malformed JSON, a repeated key, nesting
+    # too deep or a record of the wrong shape is malformed input, named
+    source, code, out, err = _run_reader(capsys, tmp_path, reader, value)
+    assert (code, out) == (1, "") and err.startswith(f"penlq: error: {source}"), err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+_MUTANTS = (None, True, 0, -1, 2, 0.5, 1e308, 10**400, "", "mcp", [], {}, [1, 2, 3], {"m": 2})
+
+
+def _containers(record):
+    """Every object and list in ``record``, itself included."""
+    yield record
+    for value in record.values() if isinstance(record, dict) else record:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+def _mutate(record, rng):
+    """A copy of ``record`` with one key or entry of one of its objects or
+    lists dropped, added or replaced by a value of _MUTANTS."""
+    record = copy.deepcopy(record)
+    target = rng.choice(list(_containers(record)))
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    value = copy.deepcopy(rng.choice(_MUTANTS))
+    op = rng.choice(("drop", "add", "replace") if keys else ("add",))
+    if op == "drop":
+        del target[rng.choice(keys)]
+    elif op == "replace":
+        target[rng.choice(keys)] = value
+    elif isinstance(target, dict):
+        target[rng.choice(("extra", "m", "b", "x", "q", "params", "family", "tp"))] = value
+    else:
+        target.insert(rng.randint(0, len(target)), value)
+    return record
+
+
+def test_mutated_records_end_in_an_exit_code(capsys, tmp_path):
+    # with no KeyError mapped to exit 1, any key read that skipped the key
+    # rule would end in a traceback here
+    rng = random.Random(0)
+    for _ in range(300):
+        reader = rng.choice(sorted(_JSON_READERS))
+        mutant = _mutate(_RECORDS[_JSON_READERS[reader][2]], rng)
+        _, code, _, err = _run_reader(capsys, tmp_path, reader, json.dumps(mutant))
+        assert code in range(6) and "Traceback" not in err, (reader, mutant)
 
 
 def test_certify_reads_a_long_inline_partition(capsys, tmp_path, mcp_file):

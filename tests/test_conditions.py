@@ -132,8 +132,12 @@ def test_classify_validates_sum(mcp_spec, mcp_analysis):
 
 
 def test_classify_validates_length(mcp_spec, mcp_analysis):
-    with pytest.raises(ValueError, match="at least two entries"):
-        classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, [0.7])
+    # one rule for both split checks: a flat list of two or more entries
+    for t_list in ([0.7], [[0.7], [0.0]]):
+        with pytest.raises(ValueError, match="^t_list must be a flat list of at least two"):
+            classify_split(mcp_spec, mcp_analysis, 0.7, 0.04, t_list)
+        with pytest.raises(ValueError, match="^t_list must be a flat list of at least two"):
+            subadditive_bound_holds(mcp_spec, t_list)
 
 
 def test_classify_validates_t_tilde(mcp_spec, mcp_analysis):

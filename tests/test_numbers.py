@@ -20,9 +20,11 @@ _, PARAMS, GA = penlq.full_analysis(SPEC, 2.0, 1.0)
 YES = penlq.ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
 NO = penlq.build(penlq.ThreePartitionInstance(m=2, b=(2, 2, 2, 2, 2, 4)), SPEC, 2.0, 1.0)
 X0 = penlq.minimize_structured(NO).x
+BROAD = penlq.mcp(100.0, 1.0)  # its band is [60, 80], so t_tilde and delta may be integers
 
 # entry -> (call, its numbers as Python floats or ints); a real takes any
-# exactly representable numpy or Python number, a count only an integer
+# exactly representable numpy or Python number but no bool or str, a count
+# only an integer.  classify_split's record is its verdict's value.
 REALS = {
     "full_analysis": (lambda q, lam: penlq.full_analysis(SPEC, q, lam), {"q": 2.0, "lam": 1.0}),
     "rationalize": (lambda q, lam: penlq.rationalize(GA.theta_lower, GA.mu_lower, lam, q,
@@ -36,6 +38,9 @@ REALS = {
                         {"q": 2.0, "lam": 1.0}),
     "local_descent": (lambda step, tol: local_descent(NO.problem, X0, step, 3, tol),
                       {"step": 1.0, "tol": 0.0}),
+    "classify_split": (lambda t_tilde, delta: penlq.classify_split(
+                           BROAD, penlq.analyze(BROAD), t_tilde, delta, [69, 1]).value,
+                       {"t_tilde": 70.0, "delta": 5.0}),
 }
 COUNTS = {
     "check_conditions": (lambda grid_n: penlq.check_conditions(SPEC, grid_n), {"grid_n": 100}),
@@ -93,6 +98,18 @@ def test_numbers_enter_in_one_form(name, form, tmp_path):
         assert repr(loaded) == repr(record)
 
 
+REFUSALS = [(name, argument, form) for name, (_, numbers) in REALS.items()
+            for argument in numbers for form in (bool, str)]
+
+
+@pytest.mark.parametrize("name, argument, form", REFUSALS,
+                         ids=[f"{n}-{a}-{f.__name__}" for n, a, f in REFUSALS])
+def test_reals_refuse_bools_and_strings(name, argument, form):
+    call, numbers = REALS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be "):
+        call(**{**numbers, argument: form(numbers[argument])})
+
+
 # Arrays enter in one form too: entry -> (call of one array argument, the
 # argument's name, a value it admits).  Every value is a small integer or
 # holds only small integers, so each admitted form below carries it exactly.
@@ -145,6 +162,7 @@ REFUSED = {
     "nan": lambda a: _put(a.astype(float), np.nan)[()],
     "inf": lambda a: _put(a.astype(float), np.inf)[()],
     "-inf": lambda a: _put(a.astype(float), -np.inf)[()],
+    "ragged": lambda a: [a.tolist(), [a.tolist()]],
 }
 
 
