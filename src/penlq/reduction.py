@@ -73,6 +73,9 @@ class ProblemInstance:
 
     A and target must be finite, penalty a PenaltySpec, and q and lam obey
     the rules of :func:`penlq.gfun.rationalize`; anything else raises ValueError.
+    An A or target that is read-only, C-contiguous and owns its memory, as
+    :func:`build`'s are, is kept as is; any other is copied and frozen, so a
+    caller's arrays stay writable and the record immutable.
     """
 
     a_matrix: np.ndarray
@@ -84,16 +87,16 @@ class ProblemInstance:
     def __post_init__(self):
         if not isinstance(self.penalty, PenaltySpec):
             raise ValueError(f"penalty must be a PenaltySpec, got {self.penalty!r}")
-        a = np.array(_require_array("A", self.a_matrix), order="C")  # copied: frozen below
-        t = np.array(_require_array("target", self.target))
+        a, t = _require_array("A", self.a_matrix), _require_array("target", self.target)
         if a.ndim != 2 or t.ndim != 1 or a.shape[0] != t.shape[0]:
             raise ValueError("A must be 2-d with one target entry per row")
         object.__setattr__(self, "q", _require_q(self.q))
         object.__setattr__(self, "lam", _require_lam(self.lam))
-        a.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "target", t)
+        for name, v in (("a_matrix", a), ("target", t)):
+            if v.flags.writeable or not (v.flags.owndata and v.flags.c_contiguous):
+                v = np.array(v, order="C")  # shared with the caller: copied, then frozen
+                v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def rows(self) -> int:
@@ -169,19 +172,16 @@ def build(
     theta_root, mu_root = gparams.theta_root, gparams.mu_root
     roots = (theta_root, mu_root) if theta_root > 0.0 else (mu_root,)
     n_rows = (m - 1) + len(roots) * n
-    a = np.zeros((n_rows, n * m))
-    target = np.zeros(n_rows)
+    a, target = np.zeros((n_rows, n * m)), np.zeros(n_rows)
     blocks = a.reshape(n_rows, n, m)  # blocks[row, i, j] multiplies x_ij
-    b = np.array(tp.b, dtype=float)
+    b, items, j = np.array(tp.b, dtype=float), np.arange(n), np.arange(1, m)
     blocks[: m - 1, :, 0] = -b
-    for j in range(1, m):
-        blocks[j - 1, :, j] = b
-    row = m - 1
-    for root in roots:
-        for i in range(n):
-            blocks[row, i, :] = root
-            row += 1
+    blocks[j - 1, :, j] = b  # balance row j - 1 against column j
+    for k, root in enumerate(roots):
+        blocks[m - 1 + k * n + items, items, :] = root  # row of item i in root block k
     target[-n:] = mu_root * gparams.tau_hat
+    for v in (a, target):
+        v.setflags(write=False)  # read-only and owned: the record keeps them uncopied
 
     delta = min(analysis.tau0 / (8.0 * sum(tp.b)), ganalysis.delta_bar)
     epsilon = min(lam * delta * delta, (analysis.tau0 / 2.0) ** q)

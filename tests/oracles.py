@@ -271,3 +271,8 @@ NO_INSTANCES = (
     (3, (4, 4, 4, 4, 4, 4, 4, 4, 7)),
     (3, (2, 2, 2, 4, 4, 4, 6, 6, 15)),
 )
+
+
+def planted_items(m: int) -> list[int]:
+    """Items 1e5..1e6 in m triples (3j + 1, 3j + 2, 3j + 3) that each sum to 1,400,000."""
+    return [v for j in range(m) for v in (100000 + 7 * j, 300000 + 5 * j, 1000000 - 12 * j)]

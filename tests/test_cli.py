@@ -9,6 +9,8 @@ import pytest
 import penlq
 from penlq import ReductionInvariantError, cli, conditions, decode, gfun, serde
 
+from oracles import planted_items
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -196,11 +198,6 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1 and err
 
 
-def _planted_items(m):
-    """Items 1e5..1e6 in m triples (3j + 1, 3j + 2, 3j + 3) that each sum to 1,400,000."""
-    return [v for j in range(m) for v in (100000 + 7 * j, 300000 + 5 * j, 1000000 - 12 * j)]
-
-
 def _build_instance(capsys, tmp_path, spec_file, b):
     """``reduce build`` of items b at q = 2, lambda = 1; returns the instance path."""
     tp, inst = tmp_path / "tp.json", tmp_path / "inst.json"
@@ -216,7 +213,7 @@ def _refuse_building(*args, **kwargs):
 
 def test_size_guard_exit_code(capsys, tmp_path, monkeypatch, mcp_file):
     # the guard reads m and n from the file's tp: solve refuses before any build
-    for b in ([1] * 12, _planted_items(100)):
+    for b in ([1] * 12, planted_items(100)):
         m, n = len(b) // 3, len(b)
         inst, sol = _build_instance(capsys, tmp_path, mcp_file, b), tmp_path / "s.json"
         with monkeypatch.context() as patch:
@@ -250,7 +247,7 @@ def test_memory_error_is_a_size_guard_exit(capsys, tmp_path, monkeypatch, mcp_fi
 
 
 def test_planted_m100_round_trip(capsys, tmp_path, mcp_file):
-    inst = _build_instance(capsys, tmp_path, mcp_file, _planted_items(100))
+    inst = _build_instance(capsys, tmp_path, mcp_file, planted_items(100))
     assert inst.stat().st_size < 16384  # the file holds the recipe, not A
     partition = tmp_path / "part100.json"
     partition.write_text(json.dumps([[3 * j + 1, 3 * j + 2, 3 * j + 3] for j in range(100)]))

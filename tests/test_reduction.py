@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from penlq import (
 from penlq.decode import Partition
 from penlq.serde import dumps, instance_to_dict
 
-from oracles import matrix_from_record, objective_by_blocks
+from oracles import matrix_from_record, objective_by_blocks, planted_items
 
 BOUND_MCP = 5.647938931297711  # 6 * h for the worked example
 
@@ -192,12 +193,45 @@ def test_problem_instance_requires_finite_matrix_and_target(mcp_spec, a, target)
         penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
 
 
-def test_problem_instance_leaves_the_callers_arrays_writable(mcp_spec):
-    a, target = np.eye(2), np.zeros(2)
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def _flags(a):
+    return a.flags.writeable, a.flags.owndata, a.flags.c_contiguous, a.flags.f_contiguous
+
+
+# the caller's array, made from a writable float64 array w, and whether the record
+# keeps it: only a read-only, C-contiguous float64 array that owns its memory
+OWNERSHIP = {
+    "writable": (lambda w: w, False),
+    "int": (lambda w: w.astype(np.int64), False),
+    "read-only-view": (lambda w: _read_only(w.view()), False),
+    "read-only-strided": (lambda w: _read_only(w[::2]), False),
+    "read-only-fortran": (lambda w: _read_only(np.asfortranarray(w)), False),  # 2-d only
+    "read-only-owned": (lambda w: _read_only(w), True),
+}
+
+
+@pytest.mark.parametrize("field, kind", [(f, k) for f in ("A", "target") for k in OWNERSHIP
+                                         if (f, k) != ("target", "read-only-fortran")])
+def test_problem_instance_array_ownership(mcp_spec, field, kind):
+    make, kept = OWNERSHIP[kind]
+    w = np.arange(12.0).reshape(4, 3).copy() if field == "A" else np.arange(4.0)
+    mine = make(w)
+    a, target = (mine, np.zeros(len(mine))) if field == "A" else (np.ones((len(mine), 3)), mine)
+    flags, before = _flags(mine), mine.copy()
     problem = penlq.ProblemInstance(a, target, 1.0, 2.0, mcp_spec)
-    a[0, 0], target[0] = 5.0, 1.0  # the caller's arrays, not the record's
-    assert problem.a_matrix[0, 0] == 1.0 and problem.target[0] == 0.0
-    assert not (problem.a_matrix.flags.writeable or problem.target.flags.writeable)
+    held = problem.a_matrix if field == "A" else problem.target
+    assert (held is mine) == kept
+    assert not held.flags.writeable and held.flags.c_contiguous and held.dtype == np.float64
+    assert _flags(mine) == flags and np.array_equal(held, before)
+    if not kept:
+        for owner in (mine, w):  # writing to the caller's array or its base
+            owner.setflags(write=True)
+            owner[...] = -1
+        assert np.array_equal(held, before)
 
 
 def test_objective_dimension_mismatch(demo_instance):
@@ -261,6 +295,23 @@ def test_coefficient_values_are_instance_independent(mcp_spec):
 def test_matrix_is_read_only(demo_instance):
     with pytest.raises(ValueError):
         demo_instance.problem.a_matrix[0, 0] = 5.0
+
+
+def test_build_hands_its_matrix_to_the_record_uncopied(mcp_spec):
+    # A is 419 x 10800, 36 MB: a copy in ProblemInstance would double the peak
+    tp = ThreePartitionInstance(m=60, b=planted_items(60))
+    build(tp, mcp_spec, q=2.0, lam=1.0)  # warms full_analysis
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        red = build(tp, mcp_spec, q=2.0, lam=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    a, target = red.problem.a_matrix, red.problem.target
+    assert peak < 1.5 * a.nbytes  # A, plus the array rule's finite scan at 1/8 of A
+    assert not (a.flags.writeable or target.flags.writeable)
+    assert a.flags.owndata and target.flags.owndata
 
 
 AUDIT_SMALL = ThreePartitionInstance(m=2, b=(1, 2, 3, 1, 2, 3))
