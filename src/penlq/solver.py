@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,11 +308,14 @@ def solve(
     by the reduction's forward direction an equal-sum certificate attains
     the global bound n*lam*h, so descent could move F by rounding only.
     Otherwise hybrid runs ``restarts`` descent passes: the first from the
-    best structured solution, the rest from perturbations of it seeded by
-    ``seed``; the returned value is never worse than the structured one.
-    Reproducible for a fixed seed; the structured solution does not depend
-    on it.  Raises ValueError unless restarts and seed are non-negative
-    integers.
+    best structured solution, the rest from perturbations of it; the
+    returned value is never worse than the structured one.  Each solve
+    seeds one standard-library ``random.Random(seed)``, and each perturbed
+    restart adds to the structured x its next n*m ``uniform(-delta, delta)``
+    draws, row-major, so no solve loads ``numpy.random`` (only the fuzzers
+    in :mod:`penlq.conditions` do).  Reproducible for a fixed seed; the
+    structured solution does not depend on it.  Raises ValueError unless
+    restarts and seed are non-negative integers.
     """
     if mode not in ("structured", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -321,13 +325,14 @@ def solve(
     if mode == "structured" or restarts == 0 or decide(red, base.x) is not None:
         return base
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best_x, best_val = base.x, base.value
     step = max(red.delta, 1e-3)
     for attempt in range(restarts):
         start = base.x
         if attempt:
-            start = base.x + rng.uniform(-red.delta, red.delta, size=base.x.shape)
+            draws = [rng.uniform(-red.delta, red.delta) for _ in range(base.x.size)]
+            start = base.x + np.reshape(draws, base.x.shape)
         polished = local_descent(red.problem, start, step=step)
         val = red.problem.objective(polished)
         if val < best_val:

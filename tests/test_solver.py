@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,12 +152,28 @@ def test_overflowing_terms_read_as_inf():
     assert not solver._stays_at_zero(terms, 30.0, 1.0)
 
 
-def test_hybrid_never_worse_and_reproducible(demo_instance):
-    structured = solve(demo_instance, mode="structured")
-    a = solve(demo_instance, mode="hybrid", restarts=3, seed=11)
-    b = solve(demo_instance, mode="hybrid", restarts=3, seed=11)
-    assert a.value <= structured.value + 1e-12
-    assert np.array_equal(a.x, b.x) and a.value == b.value
+def test_hybrid_never_worse_and_reproducible(monkeypatch, mcp_spec):
+    # a no-instance, so every restart descends: restart 0 from the structured
+    # x, restart k from it plus the k-th n*m draws of random.Random(seed),
+    # row-major
+    m, b = NO_INSTANCES[6]
+    red = build(ThreePartitionInstance(m=m, b=b), mcp_spec, q=2.0, lam=1.0)
+    base = solve(red, mode="structured")
+    n = len(b)
+    runs = {}
+    for seed in (0, 1):
+        result, starts, _ = _record_restarts(monkeypatch, red, seed, restarts=3)
+        again, starts_again, _ = _record_restarts(monkeypatch, red, seed, restarts=3)
+        assert result.value <= base.value
+        assert (result.x.tobytes(), result.value) == (again.x.tobytes(), again.value)
+        assert [x.tobytes() for x in starts] == [x.tobytes() for x in starts_again]
+        rng = random.Random(seed)
+        assert len(starts) == 3 and starts[0].tobytes() == base.x.tobytes()
+        for start in starts[1:]:
+            draws = np.array([rng.uniform(-red.delta, red.delta) for _ in range(n * m)])
+            assert start.tobytes() == (base.x + draws.reshape(n, m)).tobytes()
+        runs[seed] = starts
+    assert runs[0][1].tobytes() != runs[1][1].tobytes()
 
 
 @pytest.mark.parametrize("q", [1.5, 3.0])
@@ -480,17 +501,39 @@ def test_zero_screen_fires_only_where_no_move_lowers_phi(name, q):
     assert fired >= 5  # the check is not vacuous
 
 
-def _restart_outputs(monkeypatch, red, seed):
-    """The x each descent restart of one hybrid solve returns."""
-    outputs = []
+def _record_restarts(monkeypatch, red, seed, restarts=2):
+    """One hybrid solve's result, and the x each descent restart starts from
+    and returns."""
+    starts, outputs = [], []
 
-    def recording(*args, **kwargs):
-        outputs.append(local_descent(*args, **kwargs))
+    def recording(problem, x0, **kwargs):
+        starts.append(np.array(x0))
+        outputs.append(local_descent(problem, x0, **kwargs))
         return outputs[-1]
 
     monkeypatch.setattr(solver, "local_descent", recording)
-    solve(red, mode="hybrid", restarts=2, seed=seed)
-    return outputs
+    result = solve(red, mode="hybrid", restarts=restarts, seed=seed)
+    return result, starts, outputs
+
+
+def test_hybrid_solve_leaves_numpy_random_unloaded():
+    # the restarts draw from the standard library's generator; comparing
+    # before with after holds under a numpy that loads numpy.random itself
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from penlq import ThreePartitionInstance, build, mcp, solve\n"
+        "tp = ThreePartitionInstance(m=3, b=(2, 2, 2, 4, 4, 4, 6, 6, 15))\n"
+        "red = build(tp, mcp(1.0, 1.0), q=2.0, lam=1.0)\n"
+        "solve(red, mode='hybrid', restarts=2, seed=0)\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(penlq.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    before, after = run.stdout.split()
+    assert after == before
 
 
 # The hybrid benchmark's four no-instance cases, (penalty, q, no-instance)
@@ -506,13 +549,14 @@ _HYBRID_NO_CASES = [
 def test_zero_screen_leaves_hybrid_restarts_unchanged(monkeypatch, spec, q, instance):
     # an always-false screen runs every line search, as descent did before the
     # screen.  The outputs can differ only where the unscreened search takes a
-    # rounding-sized move that the screen proves uphill: log q=1 does at seed 9
+    # rounding-sized move that the screen proves uphill; in these four cases
+    # no seed in 0..99 does
     m, b = instance
     red = build(ThreePartitionInstance(m=m, b=b), spec, q=q, lam=1.0)
     for seed in (0, 3):
-        screened = _restart_outputs(monkeypatch, red, seed)
+        _, _, screened = _record_restarts(monkeypatch, red, seed)
         monkeypatch.setattr(solver, "_stays_at_zero", lambda *args: False)
-        unscreened = _restart_outputs(monkeypatch, red, seed)
+        _, _, unscreened = _record_restarts(monkeypatch, red, seed)
         monkeypatch.undo()
         assert len(screened) == len(unscreened) == 2
         for ours, theirs in zip(screened, unscreened):
